@@ -326,8 +326,7 @@ def eco_evaluate(
         config, cache=resolve_cache(cache), should_cancel=should_cancel
     )
 
-    records = {record.stage: record for record in outcome.report.records}
-    rom_fp = records["rom-map"].fingerprint
+    rom_fp = outcome.artifacts["rom-map"].fingerprint
     if old_fingerprint is not None and old_fingerprint != rom_fp:
         raise EcoError(
             "stale edit: the ROM image the edit script targets "
@@ -348,6 +347,6 @@ def eco_evaluate(
         rom_power=power.rom_power,
         rom_timing=power.rom_timing,
         old_rom_fingerprint=rom_fp,
-        new_rom_fingerprint=records["eco-patch"].fingerprint,
+        new_rom_fingerprint=outcome.artifacts["eco-patch"].fingerprint,
     )
     return result, outcome.report

@@ -10,12 +10,23 @@ convention SIS applies when it synthesizes the STG to logic).
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.logic.cube import Cube
 
-__all__ = ["FsmError", "Transition", "FSM"]
+__all__ = ["FsmError", "Transition", "FSM", "StgTable"]
+
+# Dense tabulation bounds: 2^12 input vectors per state and 1M entries
+# overall keep one build in the low milliseconds for every benchmark;
+# above them a table row steps the STG per lookup instead.
+STG_TABLE_MAX_INPUTS = 12
+STG_TABLE_MAX_ENTRIES = 1_000_000
+
+# Serializes table builds with STG edits: machines are shared across
+# threads (the service's thread executor), and each is built once.
+_TABLE_LOCK = threading.Lock()
 
 
 class FsmError(ValueError):
@@ -114,8 +125,10 @@ class FSM:
                 f"transition output pattern has {len(t.outputs)} bits, "
                 f"machine has {self.num_outputs} outputs"
             )
-        self.transitions.append(t)
-        self._by_src[t.src].append(t)
+        with _TABLE_LOCK:
+            self.transitions.append(t)
+            self._by_src[t.src].append(t)
+            self.__dict__.pop("_stg_table", None)  # stale once the STG grows
 
     def add(self, src: str, inputs: str, dst: str, outputs: str) -> None:
         """Shorthand: ``fsm.add('A', '0-', 'B', '1')``."""
@@ -184,6 +197,26 @@ class FSM:
         if t is None:
             return state, 0
         return t.dst, t.output_bits()
+
+    def stg_table(self) -> "StgTable":
+        """The machine's :class:`StgTable`, built on first use.
+
+        Kept on the instance until :meth:`add_transition` changes the
+        STG; it is never pickled (see :meth:`__getstate__`) and never
+        fingerprinted (the fingerprint reads the KISS2 text).
+        """
+        table = self.__dict__.get("_stg_table")
+        if table is None:
+            with _TABLE_LOCK:
+                table = self.__dict__.get("_stg_table")
+                if table is None:
+                    table = self._stg_table = StgTable.build(self)
+        return table
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        state.pop("_stg_table", None)
+        return state
 
     # ------------------------------------------------------------------
     # Structural checks
@@ -259,3 +292,90 @@ class FSM:
             f"FSM({self.name!r}, i={self.num_inputs}, o={self.num_outputs}, "
             f"s={self.num_states}, p={len(self.transitions)})"
         )
+
+
+class _SteppedRow:
+    """A table row too large to tabulate: each lookup steps the STG."""
+
+    __slots__ = ("_fsm", "_state", "_index")
+
+    def __init__(self, fsm: FSM, state: str, index: Dict[str, int]):
+        self._fsm = fsm
+        self._state = state
+        self._index = index
+
+    def __getitem__(self, input_bits: int) -> Tuple[int, int]:
+        nxt, out = self._fsm.step(self._state, input_bits)
+        return self._index[nxt], out
+
+
+class StgTable:
+    """The STG as a jump table: ``rows[s][bits] = (next index, outputs)``.
+
+    ``s`` and the next index are positions in ``fsm.states``; the
+    outputs are the resolved output bits :meth:`FSM.step` returns, and
+    unspecified pairs hold the state with outputs 0.  Simulators and
+    stimulus generators step this instead of scanning transition cubes.
+
+    Within :data:`STG_TABLE_MAX_INPUTS` / :data:`STG_TABLE_MAX_ENTRIES`
+    the rows are dense lists (``dense`` is true), filled from each
+    cube's minterms in first-match order.  Above the bounds each row
+    steps :meth:`FSM.step` on lookup, so readers never branch.  Rows
+    are indexed by in-range input vectors only; :meth:`walk` masks.
+    """
+
+    __slots__ = ("rows", "dense", "reset", "input_mask")
+
+    def __init__(self, rows: list, dense: bool, reset: int, input_mask: int):
+        self.rows = rows
+        self.dense = dense
+        self.reset = reset
+        self.input_mask = input_mask
+
+    @classmethod
+    def build(cls, fsm: FSM) -> "StgTable":
+        index = {state: i for i, state in enumerate(fsm.states)}
+        size = 1 << fsm.num_inputs
+        dense = (
+            fsm.num_inputs <= STG_TABLE_MAX_INPUTS
+            and fsm.num_states * size <= STG_TABLE_MAX_ENTRIES
+        )
+        rows: list = []
+        for i, state in enumerate(fsm.states):
+            if not dense:
+                rows.append(_SteppedRow(fsm, state, index))
+                continue
+            row = [(i, 0)] * size  # hold, outputs 0
+            # Reverse order, overwriting: the first matching cube wins,
+            # exactly as FSM.lookup scans.
+            for t in reversed(fsm._by_src[state]):
+                cube = t.inputs
+                free = cube.zero_mask & cube.one_mask
+                if (cube.zero_mask | cube.one_mask) != size - 1:
+                    continue  # an empty cube matches nothing
+                base = cube.one_mask ^ free
+                entry = (index[t.dst], t.output_bits())
+                sub = free
+                while True:
+                    row[base | sub] = entry
+                    if not sub:
+                        break
+                    sub = (sub - 1) & free
+            rows.append(row)
+        return cls(rows, dense, index[fsm.reset_state], size - 1)
+
+    def walk(self, stimulus: Iterable[int]) -> Tuple[List[int], List[int]]:
+        """State indices (reset first, one per cycle after) and outputs.
+
+        Input vectors are truncated to the machine's input width.
+        """
+        rows = self.rows
+        mask = self.input_mask
+        idx = self.reset
+        states = [idx]
+        outputs: List[int] = []
+        for bits in stimulus:
+            idx, out = rows[idx][bits & mask]
+            states.append(idx)
+            outputs.append(out)
+        return states, outputs

@@ -102,6 +102,7 @@ class SimulationTrace:
 class FsmSimulator:
     """Steps an FSM cycle by cycle, recording a :class:`SimulationTrace`.
 
+    :meth:`run` walks the machine's :class:`~repro.fsm.machine.StgTable`.
     Unspecified (state, input) pairs follow the hold convention: the
     state is retained and the output is all zeros — the same resolution
     every downstream implementation applies, so reference-vs-netlist
@@ -126,21 +127,27 @@ class FsmSimulator:
 
         ``trace.states`` has one extra trailing entry: the state after
         the final cycle, so state toggles of the last edge are counted.
+        An out-of-range input vector raises ``ValueError``, leaving the
+        simulator in the state the cycles before it reached.
         """
-        self.reset()
-        trace = SimulationTrace(self.fsm.num_inputs, self.fsm.num_outputs)
-        trace.states.append(self.state)
-        for input_bits in stimulus:
-            limit = 1 << self.fsm.num_inputs
+        fsm = self.fsm
+        inputs = list(stimulus)
+        limit = 1 << fsm.num_inputs
+        table = fsm.stg_table()
+        for k, input_bits in enumerate(inputs):
             if not 0 <= input_bits < limit:
+                self.state = fsm.states[table.walk(inputs[:k])[0][-1]]
                 raise ValueError(
                     f"input vector {input_bits:#x} out of range for "
-                    f"{self.fsm.num_inputs} inputs"
+                    f"{fsm.num_inputs} inputs"
                 )
-            next_state, output = self.step(input_bits)
-            trace.inputs.append(input_bits)
-            trace.outputs.append(output)
-            trace.states.append(next_state)
+        indices, outputs = table.walk(inputs)
+        names = fsm.states
+        trace = SimulationTrace(
+            fsm.num_inputs, fsm.num_outputs,
+            states=[names[i] for i in indices], inputs=inputs, outputs=outputs,
+        )
+        self.state = trace.states[-1]
         return trace
 
 
@@ -184,36 +191,37 @@ def idle_biased_stimulus(
     if not 0.0 <= idle_fraction <= 1.0:
         raise ValueError(f"idle_fraction must be in [0, 1], got {idle_fraction}")
     rng = random.Random(seed)
+    draw = rng.randrange
     limit = 1 << fsm.num_inputs
+    table = fsm.stg_table()
+    rows = table.rows
     stimulus: List[int] = []
-    state = fsm.reset_state
-    prev_output: Optional[int] = None
+    state = table.reset
+    # The output an idle step must repeat: the previous cycle's, or 0
+    # before the first cycle (the latch's reset value).
+    held = 0
     idle_count = 0
 
-    def classify(inp: int) -> Tuple[bool, bool]:
-        """(is_idle, is_self_loop) of taking ``inp`` from the current state."""
-        nxt, out = fsm.step(state, inp)
-        same_out = prev_output is None and out == 0 or out == prev_output
-        return nxt == state and same_out, nxt == state
-
     for cycle in range(num_cycles):
+        row = rows[state]
         want_idle = idle_count < idle_fraction * (cycle + 1)
         chosen: Optional[int] = None
         fallback: Optional[int] = None
         for _probe in range(max_probes):
-            candidate = rng.randrange(limit)
-            idle, self_loop = classify(candidate)
-            if idle == want_idle:
+            candidate = draw(limit)
+            nxt, out = row[candidate]
+            if (nxt == state and out == held) == want_idle:
                 chosen = candidate
                 break
-            if want_idle and self_loop and fallback is None:
+            if want_idle and nxt == state and fallback is None:
                 fallback = candidate  # sets up an idle run next cycle
         if chosen is None:
-            chosen = fallback if fallback is not None else rng.randrange(limit)
-        if classify(chosen)[0]:
+            chosen = fallback if fallback is not None else draw(limit)
+        nxt, out = row[chosen]
+        if nxt == state and out == held:
             idle_count += 1
         stimulus.append(chosen)
-        state, prev_output = fsm.step(state, chosen)
+        state, held = nxt, out
     return stimulus
 
 

@@ -2,11 +2,12 @@
 
 Every stage output is wrapped in an :class:`Artifact`: the value itself
 plus a content *fingerprint* — a SHA-256 digest of a canonical recursive
-encoding of the object graph.  Downstream cache keys are derived from
-upstream fingerprints, so the fingerprint must be stable across
-processes and interpreter sessions.  Pickle bytes are **not** (set
-iteration order depends on string-hash randomization), which is why the
-walker below canonicalizes containers itself:
+encoding of the object graph, computed the first time it is read.
+Downstream cache keys are derived from upstream fingerprints, so the
+fingerprint must be stable across processes and interpreter sessions.
+Pickle bytes are **not** (set iteration order depends on string-hash
+randomization), which is why the walker below canonicalizes containers
+itself:
 
 - dict items and set elements are digested element-wise and sorted;
 - dataclasses, ``__dict__`` objects and ``__slots__`` objects digest as
@@ -24,7 +25,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import hashlib
-from typing import Any
+from typing import Any, Optional
 
 from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM
@@ -111,13 +112,29 @@ def fingerprint(value: Any) -> str:
     return _digest(value).hex()
 
 
-@dataclasses.dataclass(frozen=True)
 class Artifact:
-    """One stage output: the value plus its content fingerprint."""
+    """One stage output: the value plus its content fingerprint.
 
-    value: Any
-    fingerprint: str
+    The fingerprint is computed when first read, so a run that never
+    keys a cache with it never pays for the walk.
+    """
+
+    __slots__ = ("value", "_fingerprint")
+
+    def __init__(self, value: Any, fingerprint: Optional[str] = None):
+        self.value = value
+        self._fingerprint = fingerprint
+
+    @property
+    def fingerprint(self) -> str:
+        fp = self._fingerprint
+        if fp is None:
+            fp = self._fingerprint = fingerprint(self.value)
+        return fp
 
     @classmethod
     def of(cls, value: Any) -> "Artifact":
-        return cls(value=value, fingerprint=fingerprint(value))
+        return cls(value)
+
+    def __repr__(self) -> str:
+        return f"Artifact(value={self.value!r}, fingerprint={self._fingerprint!r})"

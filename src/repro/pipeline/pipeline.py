@@ -4,17 +4,18 @@ Runs stages in declared order (which must be a topological order of the
 dependency graph — validated at construction), consulting an optional
 :class:`~repro.pipeline.cache.ArtifactCache` before each stage and
 recording a :class:`StageRecord` (key, hit/miss, wall seconds) per
-stage for the run manifest.
+stage for the run manifest.  Without a cache no stage key and no
+content fingerprint is computed unless a caller reads one.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence
+from typing import Any, Callable, Dict, List, Mapping, Optional, Sequence, Tuple, Union
 
 from repro import faults
-from repro.pipeline.artifact import Artifact, fingerprint
+from repro.pipeline.artifact import Artifact
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.stage import Stage, StageContext
 
@@ -45,16 +46,62 @@ class PipelineCancelled(RuntimeError):
         self.report = report
 
 
-@dataclass(frozen=True)
 class StageRecord:
-    """Observability record for one stage execution."""
+    """Observability record for one stage execution.
 
-    stage: str
-    version: str
-    key: str
-    cache_hit: bool
-    seconds: float
-    fingerprint: str
+    ``key`` is the stage's cache key, or ``None`` when the run had no
+    cache (no key is computed then).  ``fingerprint`` is the output's
+    content fingerprint; given an :class:`Artifact` instead of a string,
+    the record reads it from the artifact on first access (and before
+    pickling, so a record crossing a process boundary carries it).
+    """
+
+    __slots__ = ("stage", "version", "key", "cache_hit", "seconds", "_fingerprint")
+
+    def __init__(
+        self,
+        stage: str,
+        version: str,
+        key: Optional[str],
+        cache_hit: bool,
+        seconds: float,
+        fingerprint: Union[str, Artifact],
+    ):
+        self.stage = stage
+        self.version = version
+        self.key = key
+        self.cache_hit = cache_hit
+        self.seconds = seconds
+        self._fingerprint = fingerprint
+
+    @property
+    def fingerprint(self) -> str:
+        fp = self._fingerprint
+        if isinstance(fp, Artifact):
+            fp = self._fingerprint = fp.fingerprint
+        return fp
+
+    def _fields(self) -> Tuple[Any, ...]:
+        return (self.stage, self.version, self.key, self.cache_hit,
+                self.seconds, self.fingerprint)
+
+    def __reduce__(self):
+        return (StageRecord, self._fields())
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, StageRecord):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self) -> int:
+        return hash(self._fields())
+
+    def __repr__(self) -> str:
+        return (
+            f"StageRecord(stage={self.stage!r}, version={self.version!r}, "
+            f"key={self.key!r}, cache_hit={self.cache_hit!r}, "
+            f"seconds={self.seconds!r}, fingerprint={self.fingerprint!r})"
+        )
 
 
 @dataclass
@@ -136,22 +183,21 @@ class Pipeline:
             # typed FaultInjected at a stage boundary, a "stall" rule
             # models a slow stage.
             faults.hit("pipeline.stage", stage=stage.name)
-            dep_fps = {dep: artifacts[dep].fingerprint for dep in stage.deps}
-            key = stage.cache_key(dep_fps, config)
-            start = time.perf_counter()
-            hit = False
+            key: Optional[str] = None
             if cache is not None:
-                loaded = cache.get(key)
-                if loaded is not None:
-                    fp, value = loaded
-                    hit = True
-            if not hit:
-                ctx = StageContext(config, artifacts)
-                value = stage.func(ctx)
-                fp = fingerprint(value)
+                dep_fps = {dep: artifacts[dep].fingerprint for dep in stage.deps}
+                key = stage.cache_key(dep_fps, config)
+            start = time.perf_counter()
+            loaded = cache.get(key) if cache is not None else None
+            hit = loaded is not None
+            if hit:
+                fp, value = loaded
+                artifact = Artifact(value, fp)
+            else:
+                artifact = Artifact(stage.func(StageContext(config, artifacts)))
                 if cache is not None:
-                    cache.put(key, fp, value)
-            artifacts[stage.name] = Artifact(value=value, fingerprint=fp)
+                    cache.put(key, artifact.fingerprint, artifact.value)
+            artifacts[stage.name] = artifact
             records.append(
                 StageRecord(
                     stage=stage.name,
@@ -159,7 +205,7 @@ class Pipeline:
                     key=key,
                     cache_hit=hit,
                     seconds=time.perf_counter() - start,
-                    fingerprint=fp,
+                    fingerprint=artifact,
                 )
             )
         return PipelineResult(artifacts=artifacts, report=PipelineReport(records))

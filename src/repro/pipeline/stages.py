@@ -44,7 +44,12 @@ from repro.arch.timing import TimingReport
 from repro.fsm.encoding import StateEncoding, make_encoding
 from repro.fsm.kiss import parse_kiss
 from repro.fsm.machine import FSM
-from repro.fsm.simulate import FsmSimulator, idle_biased_stimulus, random_stimulus
+from repro.fsm.simulate import (
+    FsmSimulator,
+    SimulationTrace,
+    idle_biased_stimulus,
+    random_stimulus,
+)
 from repro.power.activity import (
     FfActivity,
     RomActivity,
@@ -111,8 +116,14 @@ def paper_moore_output_mode(fsm: FSM) -> str:
     return "external" if fsm.name in _EXTERNAL_OUTPUT_BENCHMARKS else "auto"
 
 
-def verify_equivalence(fsm: FSM, stimulus: List[int], *streams) -> None:
-    """Cycle-exact check of implementation outputs against the reference."""
+def verify_equivalence(
+    fsm: FSM, stimulus: List[int], *streams
+) -> SimulationTrace:
+    """Cycle-exact check of implementation outputs against the reference.
+
+    Returns the reference trace, so callers that also need it (the idle
+    fraction of the clock-control stimulus) do not simulate twice.
+    """
     reference = FsmSimulator(fsm).run(stimulus)
     for label, outputs in streams:
         if outputs != reference.outputs:
@@ -120,6 +131,7 @@ def verify_equivalence(fsm: FSM, stimulus: List[int], *streams) -> None:
                 f"{fsm.name}: {label} implementation diverged from the "
                 f"reference FSM on the shared stimulus"
             )
+    return reference
 
 
 # ---------------------------------------------------------------------------
@@ -256,10 +268,11 @@ def _stage_simulate(ctx: StageContext) -> SimulationBundle:
         )
         cc_trace = rom_cc_impl.run(idle_stim)
         if verify:
-            verify_equivalence(
+            reference = verify_equivalence(
                 fsm, idle_stim, ("ROM+clock-control", cc_trace.output_stream)
             )
-        reference = FsmSimulator(fsm).run(idle_stim)
+        else:
+            reference = FsmSimulator(fsm).run(idle_stim)
         bundle.idle_stimulus = idle_stim
         bundle.cc_trace = cc_trace
         bundle.achieved_idle_fraction = reference.idle_fraction()

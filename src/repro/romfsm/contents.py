@@ -123,14 +123,15 @@ def generate_contents(
         raise FsmError("layout state width does not match the encoding")
 
     words = [0] * layout.depth
-    for state in fsm.states:
-        code = encoding.encode(state)
+    rows = fsm.stg_table().rows
+    code_of = [encoding.encode(state) for state in fsm.states]
+    for state, row, code in zip(fsm.states, rows, code_of):
         if compaction is None:
             for input_bits in range(1 << fsm.num_inputs):
-                dst, out = fsm.step(state, input_bits)
+                dst, out = row[input_bits]
                 addr = layout.make_address(code, input_bits)
                 words[addr] = layout.make_word(
-                    encoding.encode(dst), out if layout.output_bits else 0
+                    code_of[dst], out if layout.output_bits else 0
                 )
             continue
         cols = compaction.columns_for(state)
@@ -142,9 +143,9 @@ def generate_contents(
             for j, col in enumerate(cols):
                 if (base >> j) & 1:
                     representative |= 1 << col
-            dst, out = fsm.step(state, representative)
+            dst, out = row[representative]
             addr = layout.make_address(code, compact_value)
             words[addr] = layout.make_word(
-                encoding.encode(dst), out if layout.output_bits else 0
+                code_of[dst], out if layout.output_bits else 0
             )
     return words

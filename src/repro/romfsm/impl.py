@@ -273,29 +273,13 @@ class RomFsmImplementation:
         layout = self.layout
         width = encoding.width
 
-        # Trajectory guess from the STG; verified below against the ROM.
-        # The codegen engine steps a tabulated STG when one fits.
-        table = (
-            codegen.stg_table(fsm, encoding)
-            if codegen.current_engine() == "codegen"
-            else None
-        )
-        codes: List[int] = [encoding.encode(fsm.reset_state)]
-        ref_outs: List[int] = []
-        if table is not None:
-            row = table[fsm.state_index(fsm.reset_state)]
-            want_out = bool(layout.output_bits)
-            for input_bits in stimulus:
-                idx, code, out = row[input_bits]
-                codes.append(code)
-                ref_outs.append(out if want_out else 0)
-                row = table[idx]
-        else:
-            state = fsm.reset_state
-            for input_bits in stimulus:
-                state, out = fsm.step(state, input_bits)
-                codes.append(encoding.encode(state))
-                ref_outs.append(out if layout.output_bits else 0)
+        # Trajectory guess from the STG table; verified below against
+        # the ROM.
+        indices, ref_outs = fsm.stg_table().walk(stimulus)
+        code_of = [encoding.encode(state) for state in fsm.states]
+        codes: List[int] = [code_of[i] for i in indices]
+        if not layout.output_bits:
+            ref_outs = [0] * num_cycles
 
         current_codes = codes[:num_cycles]
         mask = (1 << num_cycles) - 1

@@ -22,13 +22,12 @@ The generated function returns exactly the net dictionary the
 interpreter returns, so every downstream consumer (toggle counting,
 verification, activity extraction) is unchanged.
 
-Compilation results are cached at three levels: per-object (``id`` +
-weakref, so repeated runs of one implementation never re-fingerprint),
-per-fingerprint in process (structurally identical netlists share one
-code object), and — when an artifact cache directory is configured via
-``REPRO_CACHE_DIR`` — the generated *source text* is stored in the
-content-addressed artifact cache keyed by the netlist fingerprint, so a
-fresh process skips generation and only pays ``compile()``.
+Compilation results are cached in process at two levels: per-object
+(``id`` + weakref, so repeated runs of one implementation skip
+everything) and per-source (structurally identical netlists emit the
+same source and share one code object).  Generating the source costs a
+fraction of fingerprinting the netlist, so the source text itself is
+the structural key and compiling never takes a content fingerprint.
 
 Engine contract (same cross-check-and-fall-back shape as PR 3): the
 callers (:func:`repro.synth.netsim.simulate_ff_netlist`,
@@ -55,7 +54,6 @@ The engine is selected by the ``REPRO_SIM_ENGINE`` environment variable
 
 from __future__ import annotations
 
-import hashlib
 import os
 import threading
 import weakref
@@ -89,16 +87,11 @@ __all__ = [
     "reset_engine_notes",
     "reset_stats",
     "stats",
-    "stg_table",
     "use_engine",
 ]
 
 ENGINE_ENV = "REPRO_SIM_ENGINE"
 ENGINES = ("codegen", "interpreter")
-
-# Bump to invalidate generated sources persisted in the artifact cache
-# (the codegen analogue of STAGE_VERSIONS).
-SOURCE_VERSION = "1"
 
 _FN_NAME = "_netfn"
 _REPLAY_NAME = "_replay"
@@ -151,7 +144,6 @@ class CodegenStats:
 
     compiles: int = 0
     memo_hits: int = 0
-    disk_hits: int = 0
     calls: int = 0
     interpreter_calls: int = 0
     fallbacks: int = 0
@@ -316,9 +308,8 @@ def _compile_source(source: str, fn_name: str) -> Callable:
 
 @dataclass
 class CompiledMapping:
-    """A compiled netlist evaluator plus its provenance."""
+    """A compiled netlist evaluator plus its source."""
 
-    fingerprint: str
     source: str
     fn: Callable[[Dict[str, int], int], Dict[str, int]]
     input_nets: Tuple[str, ...]
@@ -334,51 +325,18 @@ class CompiledMapping:
 # mutable dataclass (unhashable), so a WeakKeyDictionary is not an
 # option; the weakref callback evicts the entry when the mapping dies.
 _by_id: Dict[int, Tuple["weakref.ref", CompiledMapping]] = {}
-_by_fingerprint: Dict[str, CompiledMapping] = {}
+# Generated source -> compiled: structurally identical netlists emit the
+# same source and share one code object.
+_by_source: Dict[str, CompiledMapping] = {}
 
 
 def mapping_fingerprint(mapping: LutMapping) -> str:
+    """Content fingerprint of ``mapping`` (the artifact walker's)."""
     # Imported lazily: repro.pipeline imports the simulators at package
     # init, so a module-level import here would be circular.
     from repro.pipeline.artifact import fingerprint
 
     return fingerprint(mapping)
-
-
-def _source_cache_key(fp: str) -> str:
-    payload = f"romfsm-codegen:{SOURCE_VERSION}:{fp}"
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
-
-
-def _load_or_generate(mapping: LutMapping, fp: str) -> CompiledMapping:
-    from repro.pipeline.cache import resolve_cache
-
-    source: Optional[str] = None
-    cache = None
-    key = _source_cache_key(fp)
-    try:
-        cache = resolve_cache(None)  # REPRO_CACHE_DIR-driven, else None
-        if cache is not None:
-            entry = cache.get(key)
-            if entry is not None and isinstance(entry[1], str):
-                source = entry[1]
-    except Exception:
-        cache = None
-
-    if source is not None:
-        try:
-            fn = _compile_source(source, _FN_NAME)
-            _stats.disk_hits += 1
-            return CompiledMapping(fp, source, fn, tuple(mapping.input_nets))
-        except Exception:
-            source = None  # corrupt cached source: regenerate below
-
-    source = generate_source(mapping)
-    fn = _compile_source(source, _FN_NAME)
-    _stats.compiles += 1
-    if cache is not None:
-        cache.put(key, fp, source)  # hardened: never raises (PR 4)
-    return CompiledMapping(fp, source, fn, tuple(mapping.input_nets))
 
 
 def compile_mapping(mapping: LutMapping) -> CompiledMapping:
@@ -388,14 +346,16 @@ def compile_mapping(mapping: LutMapping) -> CompiledMapping:
     if entry is not None and entry[0]() is mapping:
         _stats.memo_hits += 1
         return entry[1]
-    fp = mapping_fingerprint(mapping)
+    source = generate_source(mapping)
     with _lock:
-        compiled = _by_fingerprint.get(fp)
+        compiled = _by_source.get(source)
         if compiled is not None:
             _stats.memo_hits += 1
         else:
-            compiled = _load_or_generate(mapping, fp)
-            _by_fingerprint[fp] = compiled
+            fn = _compile_source(source, _FN_NAME)
+            _stats.compiles += 1
+            compiled = CompiledMapping(source, fn, tuple(mapping.input_nets))
+            _by_source[source] = compiled
         ref = weakref.ref(mapping, lambda _r, _k=ident: _by_id.pop(_k, None))
         _by_id[ident] = (ref, compiled)
     return compiled
@@ -405,9 +365,8 @@ def clear_compilation_cache() -> None:
     """Drop all in-process compilations (tests and benches)."""
     with _lock:
         _by_id.clear()
-        _by_fingerprint.clear()
+        _by_source.clear()
         _replay_memo.clear()
-        _stg_tables.clear()
 
 
 # ----------------------------------------------------------------------
@@ -456,46 +415,6 @@ def evaluate_words(
 # ----------------------------------------------------------------------
 # Fast-path helpers for the codegen engine
 # ----------------------------------------------------------------------
-
-# Sensible bound for tabulating delta/Y: 2^12 entries per state keeps the
-# table build in the low milliseconds even for the largest benchmarks.
-_STG_TABLE_MAX_INPUTS = 12
-_STG_TABLE_MAX_ENTRIES = 1_000_000
-
-# (id(fsm), id(encoding)) -> (fsm ref, encoding ref, rows) with weakref
-# eviction; the refs also guard against id reuse after collection.
-_stg_tables: Dict[Tuple[int, int], Tuple["weakref.ref", "weakref.ref", list]] = {}
-
-
-def stg_table(fsm, encoding) -> Optional[list]:
-    """Tabulated ``(delta, Y)``: ``rows[i][bits]`` = (next row index,
-    next state code, resolved output bits).
-
-    This is the STG compiled to a jump table — the per-cycle trajectory
-    derivation stops scanning transition cubes and becomes two list
-    indexings per cycle.  Returns ``None`` when the input space is too
-    large to tabulate (the caller then steps the STG directly).
-    """
-    if fsm.num_inputs > _STG_TABLE_MAX_INPUTS:
-        return None
-    if fsm.num_states << fsm.num_inputs > _STG_TABLE_MAX_ENTRIES:
-        return None
-    key = (id(fsm), id(encoding))
-    entry = _stg_tables.get(key)
-    if entry is not None and entry[0]() is fsm and entry[1]() is encoding:
-        return entry[2]
-    index = {state: i for i, state in enumerate(fsm.states)}
-    rows = []
-    for state in fsm.states:
-        row = []
-        for bits in range(1 << fsm.num_inputs):
-            nxt, out = fsm.step(state, bits)
-            row.append((index[nxt], encoding.encode(nxt), out))
-        rows.append(row)
-    evict = lambda _r, _k=key: _stg_tables.pop(_k, None)  # noqa: E731
-    _stg_tables[key] = (weakref.ref(fsm, evict), weakref.ref(encoding, evict), rows)
-    return rows
-
 
 def pack_bit_columns(values, width: int) -> List[int]:
     """Per-bit packed words of a multi-bit sample column.

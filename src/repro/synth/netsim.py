@@ -100,15 +100,7 @@ def simulate_ff_netlist(
     fsm = impl.fsm
     encoding = impl.encoding
     width = encoding.width
-    in_limit = (1 << fsm.num_inputs) - 1
-
-    # State trajectory at the STG level.  The netlist truncates input
-    # vectors to the declared input count, so the lookup must too.
-    state = fsm.reset_state
-    codes: List[int] = [encoding.encode(state)]
-    for input_bits in stimulus:
-        state, _ = fsm.step(state, input_bits & in_limit)
-        codes.append(encoding.encode(state))
+    states, codes = _stg_trajectory(impl, stimulus)
 
     # Pack the input-net streams: state bits see codes[0..n-1] (the state
     # *during* each cycle), primary inputs see the stimulus columns.
@@ -155,9 +147,28 @@ def simulate_ff_netlist(
     return NetlistTrace(
         num_cycles=num_cycles,
         output_stream=outputs,
-        state_stream=[encoding.decode(code) for code in codes],
+        state_stream=states,
         net_toggles=net_toggles,
         ff_output_toggles=ff_toggles,
+    )
+
+
+def _stg_trajectory(
+    impl: FfImplementation, stimulus: List[int]
+) -> Tuple[List[str], List[int]]:
+    """State names and codes along the STG trajectory, reset first.
+
+    Walks the machine's :class:`~repro.fsm.machine.StgTable`, which
+    truncates input vectors to the declared input count exactly as the
+    netlist does.
+    """
+    fsm = impl.fsm
+    encoding = impl.encoding
+    indices, _ = fsm.stg_table().walk(stimulus)
+    code_of = [encoding.encode(state) for state in fsm.states]
+    return (
+        [fsm.states[i] for i in indices],
+        [code_of[i] for i in indices],
     )
 
 
@@ -167,8 +178,7 @@ def _simulate_ff_codegen(
     """The codegen-engine fast path (same contract, same results).
 
     Differences from the interpreter path are mechanical, not
-    semantic: the trajectory steps a tabulated STG when one fits
-    (:func:`repro.synth.codegen.stg_table`), bit columns pack through
+    semantic: bit columns pack through
     :func:`repro.synth.codegen.pack_bit_columns`, the netlist is the
     compiled straight-line function, and the output stream is rebuilt
     with the sparse :func:`~repro.synth.wordsim.transpose_words`.
@@ -181,23 +191,7 @@ def _simulate_ff_codegen(
     fsm = impl.fsm
     encoding = impl.encoding
     width = encoding.width
-    in_limit = (1 << fsm.num_inputs) - 1
-
-    table = codegen.stg_table(fsm, encoding)
-    if table is not None:
-        row = table[fsm.state_index(fsm.reset_state)]
-        codes = [encoding.encode(fsm.reset_state)]
-        append = codes.append
-        for input_bits in stimulus:
-            idx, code, _out = row[input_bits & in_limit]
-            append(code)
-            row = table[idx]
-    else:
-        state = fsm.reset_state
-        codes = [encoding.encode(state)]
-        for input_bits in stimulus:
-            state, _ = fsm.step(state, input_bits & in_limit)
-            codes.append(encoding.encode(state))
+    states, codes = _stg_trajectory(impl, stimulus)
 
     # One pack over all num_cycles + 1 samples per state bit: bits
     # 0..n-1 are the codes *during* each cycle, the word shifted right
@@ -234,11 +228,10 @@ def _simulate_ff_codegen(
     for word in full_words:
         ff_toggles += word_toggles(word, num_cycles + 1)
 
-    decode = {encoding.encode(s): s for s in fsm.states}
     return NetlistTrace(
         num_cycles=num_cycles,
         output_stream=outputs,
-        state_stream=[decode[code] for code in codes],
+        state_stream=states,
         net_toggles=net_toggles,
         ff_output_toggles=ff_toggles,
     )

@@ -159,9 +159,7 @@ def _eval_shard(item) -> Tuple[str, Dict[str, Any], int, int]:
         if r.stage == "tune-fitness" and r.cache_hit
     )
     total_hits = sum(1 for r in outcome.report.records if r.cache_hit)
-    impl_fp = next(
-        r.fingerprint for r in outcome.report.records if r.stage == "tune-map"
-    )
+    impl_fp = outcome.artifacts["tune-map"].fingerprint
     return impl_fp, fitness, fitness_hits, total_hits
 
 
