@@ -28,6 +28,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.fsm.encoding import StateEncoding, binary_encoding, gray_encoding
 from repro.fsm.machine import FSM, FsmError
+from repro.fsm.memo import fsm_memo
 
 __all__ = [
     "transition_weights",
@@ -36,7 +37,6 @@ __all__ = [
     "register_encoding_strategy",
     "encoding_strategies",
     "make_strategy_encoding",
-    "clear_strategy_cache",
 ]
 
 
@@ -204,48 +204,27 @@ def encoding_strategies() -> Tuple[str, ...]:
     return tuple(sorted(ENCODING_STRATEGIES))
 
 
-# Strategy results memoised by (STG fingerprint, strategy name): an
-# assignment depends only on the machine's transition structure, so the
-# tuner's grid — dozens of candidates differing only in aspect ratio,
-# compaction, or clock control — anneals each (machine, seed) pair
-# once.  Factories must therefore be pure functions of the FSM (the
-# registry docstring already requires determinism for fingerprinting).
-# FIFO-bounded like the Markov stationary cache; callers share the
-# cached StateEncoding and must not mutate it.
-_STRATEGY_CACHE: Dict[Tuple[str, str], StateEncoding] = {}
-_STRATEGY_CACHE_MAX = 512
-
-
-def clear_strategy_cache() -> None:
-    """Forget every memoised strategy encoding."""
-    _STRATEGY_CACHE.clear()
-
-
 def make_strategy_encoding(fsm: FSM, name: str) -> StateEncoding:
-    """Build an encoding by strategy name (memoised per machine).
+    """Build an encoding by strategy name.
 
     Accepts any registered name plus the parameterized family
     ``annealed@<seed>`` (e.g. ``annealed@7`` anneals with seed 7),
     which keeps tuner candidate configs self-describing strings.
+    Results live in the FSM memo (:mod:`repro.fsm.memo`) keyed by the
+    STG and the name, so the tuner anneals each (machine, seed) pair
+    once; factories must therefore be pure functions of the machine,
+    and callers share the returned encoding read-only.
     """
-    from repro.fsm.markov import stg_fingerprint
 
-    key = (stg_fingerprint(fsm), name)
-    cached = _STRATEGY_CACHE.get(key)
-    if cached is not None:
-        return cached
-
-    factory = ENCODING_STRATEGIES.get(name)
-    if factory is not None:
-        encoding = factory(fsm)
-    elif name.startswith(_ANNEALED_PREFIX) and name[len(_ANNEALED_PREFIX):].isdigit():
-        encoding = anneal_encoding(fsm, seed=int(name[len(_ANNEALED_PREFIX):]))
-    else:
+    def build() -> StateEncoding:
+        factory = ENCODING_STRATEGIES.get(name)
+        if factory is not None:
+            return factory(fsm)
+        if name.startswith(_ANNEALED_PREFIX) and name[len(_ANNEALED_PREFIX):].isdigit():
+            return anneal_encoding(fsm, seed=int(name[len(_ANNEALED_PREFIX):]))
         raise FsmError(
             f"unknown encoding strategy {name!r}; choose from "
             f"{sorted(ENCODING_STRATEGIES)} or 'annealed@<seed>'"
         )
-    if len(_STRATEGY_CACHE) >= _STRATEGY_CACHE_MAX:
-        _STRATEGY_CACHE.pop(next(iter(_STRATEGY_CACHE)))
-    _STRATEGY_CACHE[key] = encoding
-    return encoding
+
+    return fsm_memo(fsm, ("strategy", name), build)

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, List, Optional, Sequence, Tuple
+from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence, Tuple
 
 from repro.logic.cube import Cube
 
@@ -24,9 +24,14 @@ __all__ = ["FsmError", "Transition", "FSM", "StgTable"]
 STG_TABLE_MAX_INPUTS = 12
 STG_TABLE_MAX_ENTRIES = 1_000_000
 
-# Serializes table builds with STG edits: machines are shared across
-# threads (the service's thread executor), and each is built once.
+# Serializes derived-value builds (the StgTable, the STG fingerprint)
+# with STG edits: machines are shared across threads (the service's
+# thread executor), and each value is built once per instance.
 _TABLE_LOCK = threading.Lock()
+
+# Instance attributes derived from the STG: dropped when it grows, never
+# pickled, never fingerprinted (the fingerprint reads the KISS2 text).
+_DERIVED_ATTRS = ("_stg_table", "_stg_fingerprint")
 
 
 class FsmError(ValueError):
@@ -128,7 +133,8 @@ class FSM:
         with _TABLE_LOCK:
             self.transitions.append(t)
             self._by_src[t.src].append(t)
-            self.__dict__.pop("_stg_table", None)  # stale once the STG grows
+            for attr in _DERIVED_ATTRS:  # stale once the STG grows
+                self.__dict__.pop(attr, None)
 
     def add(self, src: str, inputs: str, dst: str, outputs: str) -> None:
         """Shorthand: ``fsm.add('A', '0-', 'B', '1')``."""
@@ -205,17 +211,24 @@ class FSM:
         STG; it is never pickled (see :meth:`__getstate__`) and never
         fingerprinted (the fingerprint reads the KISS2 text).
         """
-        table = self.__dict__.get("_stg_table")
-        if table is None:
+        return self.derived("_stg_table", StgTable.build)
+
+    def derived(self, attr: str, build: Callable[["FSM"], Any]) -> Any:
+        """``build(self)``, kept on the instance as ``attr`` (one of
+        :data:`_DERIVED_ATTRS`) until :meth:`add_transition`."""
+        value = self.__dict__.get(attr)
+        if value is None:
             with _TABLE_LOCK:
-                table = self.__dict__.get("_stg_table")
-                if table is None:
-                    table = self._stg_table = StgTable.build(self)
-        return table
+                value = self.__dict__.get(attr)
+                if value is None:
+                    value = build(self)
+                    setattr(self, attr, value)
+        return value
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        state.pop("_stg_table", None)
+        for attr in _DERIVED_ATTRS:
+            state.pop(attr, None)
         return state
 
     # ------------------------------------------------------------------

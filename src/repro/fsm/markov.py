@@ -23,21 +23,19 @@ closing the loop between the analytic model and the measured traces.
 
 from __future__ import annotations
 
-import hashlib
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
 from repro.fsm.encoding import StateEncoding
-from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM
+from repro.fsm.memo import fsm_memo, stg_fingerprint
 
 __all__ = [
     "transition_matrix",
     "stationary_distribution",
     "stg_fingerprint",
     "stationary_for",
-    "clear_stationary_cache",
     "expected_idle_fraction",
     "expected_state_bit_activity",
     "expected_output_activity",
@@ -95,57 +93,21 @@ def stationary_distribution(
     return pi / pi.sum()
 
 
-# ---------------------------------------------------------------------------
-# Stationary-distribution cache
-# ---------------------------------------------------------------------------
-#
-# The auto-tuner evaluates hundreds of candidate configurations of the
-# *same* machine; every analytic predictor above the line needs the
-# stationary occupancy, and power iteration is the expensive part.  The
-# occupancy depends only on the state-transition graph, so it is cached
-# here keyed by the STG fingerprint (canonical KISS2 text plus the state
-# list and reset state — the same commitments the artifact fingerprint
-# makes for an FSM).
-
-_STATIONARY_CACHE: Dict[str, np.ndarray] = {}
-_STATIONARY_CACHE_MAX = 256
-
-
-def stg_fingerprint(fsm: FSM) -> str:
-    """SHA-256 of the machine's canonical state-transition graph."""
-    h = hashlib.sha256()
-    h.update(fsm.name.encode("utf-8"))
-    h.update(b"\x00")
-    h.update("\x1f".join(fsm.states).encode("utf-8"))
-    h.update(b"\x00")
-    h.update(fsm.reset_state.encode("utf-8"))
-    h.update(b"\x00")
-    h.update(format_kiss(fsm).encode("utf-8"))
-    return h.hexdigest()
-
-
 def stationary_for(fsm: FSM) -> np.ndarray:
-    """Cached stationary distribution of ``fsm``'s uniform-input chain.
+    """Memoised stationary distribution of ``fsm``'s uniform-input chain.
 
-    Returns a read-only array (callers share one cached object); use
-    :func:`clear_stationary_cache` to reset between unrelated runs.
+    The auto-tuner evaluates hundreds of candidate configurations of the
+    same machine and every analytic predictor here needs the occupancy,
+    so it lives in the content-keyed FSM memo (:mod:`repro.fsm.memo`).
+    Returns a read-only array shared by every caller.
     """
-    key = stg_fingerprint(fsm)
-    pi = _STATIONARY_CACHE.get(key)
-    if pi is None:
+
+    def build() -> np.ndarray:
         pi = stationary_distribution(transition_matrix(fsm))
         pi.flags.writeable = False
-        if len(_STATIONARY_CACHE) >= _STATIONARY_CACHE_MAX:
-            # Drop the oldest entry (insertion order) — a simple bound;
-            # one tuning run touches a handful of distinct machines.
-            _STATIONARY_CACHE.pop(next(iter(_STATIONARY_CACHE)))
-        _STATIONARY_CACHE[key] = pi
-    return pi
+        return pi
 
-
-def clear_stationary_cache() -> None:
-    """Forget every cached stationary distribution."""
-    _STATIONARY_CACHE.clear()
+    return fsm_memo(fsm, ("stationary",), build)
 
 
 def _occupancy(fsm: FSM) -> Dict[str, float]:

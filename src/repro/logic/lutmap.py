@@ -130,8 +130,9 @@ def _enumerate_cuts(
     """
     cuts: Dict[int, List[Cut]] = {}
     depth: Dict[int, int] = {}
+    nodes = network.nodes
     for nid in network.topological_order():
-        node = network.node(nid)
+        node = nodes[nid]
         trivial: Cut = frozenset([nid])
         if node.kind in _LEAF_KINDS:
             cuts[nid] = [trivial]
@@ -153,62 +154,82 @@ def _enumerate_cuts(
         if not merged:
             merged = [frozenset(node.fanins)]
 
-        def cut_depth(cut: Cut) -> int:
-            return 1 + max(depth[leaf] for leaf in cut)
-
-        unique = sorted(set(merged), key=lambda c: (cut_depth(c), len(c)))
+        # Each cut's mapped depth, once; the dict keeps set(merged)'s
+        # iteration order, which the stable sort's tie-breaks follow.
+        cut_depth = {
+            cut: 1 + max(depth[leaf] for leaf in cut) for cut in set(merged)
+        }
+        unique = sorted(cut_depth, key=lambda c: (cut_depth[c], len(c)))
         kept: List[Cut] = []
         for cut in unique:
+            d = cut_depth[cut]
             if not any(
-                existing < cut and cut_depth(existing) <= cut_depth(cut)
+                existing < cut and cut_depth[existing] <= d
                 for existing in kept
             ):
                 kept.append(cut)
             if len(kept) >= cut_limit:
                 break
-        depth[nid] = cut_depth(kept[0])
+        depth[nid] = cut_depth[kept[0]]
         kept.append(trivial)
         cuts[nid] = kept
     return cuts
 
 
+def _projection(n: int, var: int) -> int:
+    """Truth-table bits of input ``var`` over ``n`` inputs: bit ``a`` is
+    bit ``var`` of assignment ``a``."""
+    half = 1 << var
+    bits = ((1 << half) - 1) << half  # one period of 2 * half minterms
+    period = 2 * half
+    while period < (1 << n):
+        bits |= bits << period
+        period *= 2
+    return bits
+
+
 def _cone_truth_table(
     network: LogicNetwork, root: int, leaves: Sequence[int]
 ) -> TruthTable:
-    """Truth table of ``root`` as a function of the cut ``leaves``."""
-    leaf_pos = {nid: i for i, nid in enumerate(leaves)}
+    """Truth table of ``root`` as a function of the cut ``leaves``.
+
+    Bit-parallel cone simulation: every leaf carries its 2^n-bit
+    projection, and each cone node combines its fanins' words once
+    (NOT is XOR with the all-ones word).
+    """
     n = len(leaves)
-    bits = 0
-    for assignment in range(1 << n):
-        memo: Dict[int, int] = {}
-
-        def eval_node(nid: int) -> int:
-            if nid in memo:
-                return memo[nid]
-            if nid in leaf_pos:
-                value = (assignment >> leaf_pos[nid]) & 1
-            else:
-                node = network.node(nid)
-                if node.kind == NodeKind.CONST0:
-                    value = 0
-                elif node.kind == NodeKind.CONST1:
-                    value = 1
-                elif node.kind == NodeKind.NOT:
-                    value = eval_node(node.fanins[0]) ^ 1
-                elif node.kind == NodeKind.AND:
-                    value = eval_node(node.fanins[0]) & eval_node(node.fanins[1])
-                elif node.kind == NodeKind.OR:
-                    value = eval_node(node.fanins[0]) | eval_node(node.fanins[1])
-                elif node.kind == NodeKind.XOR:
-                    value = eval_node(node.fanins[0]) ^ eval_node(node.fanins[1])
-                else:
-                    raise ValueError(f"input node {nid} inside cut cone")
-            memo[nid] = value
-            return value
-
-        if eval_node(root):
-            bits |= 1 << assignment
-    return TruthTable(n, bits)
+    full = (1 << (1 << n)) - 1
+    nodes = network.nodes
+    value: Dict[int, int] = {
+        leaf: _projection(n, i) for i, leaf in enumerate(leaves)
+    }
+    cone = set()
+    stack = [root]
+    while stack:
+        nid = stack.pop()
+        if nid in value or nid in cone:
+            continue
+        cone.add(nid)
+        stack.extend(nodes[nid].fanins)
+    for nid in sorted(cone):  # node ids are topologically ordered
+        node = nodes[nid]
+        kind = node.kind
+        if kind is NodeKind.CONST0:
+            word = 0
+        elif kind is NodeKind.CONST1:
+            word = full
+        elif kind is NodeKind.NOT:
+            word = value[node.fanins[0]] ^ full
+        elif kind is NodeKind.AND:
+            word = value[node.fanins[0]] & value[node.fanins[1]]
+        elif kind is NodeKind.OR:
+            word = value[node.fanins[0]] | value[node.fanins[1]]
+        elif kind is NodeKind.XOR:
+            word = value[node.fanins[0]] ^ value[node.fanins[1]]
+        else:
+            raise ValueError(f"input node {nid} inside cut cone")
+        value[nid] = word
+    return TruthTable(n, value[root])
 
 
 def _absorb_single_fanout(
@@ -309,7 +330,7 @@ def _recompute_levels(luts: List[MappedLut]) -> List[MappedLut]:
 
 
 def _net_name(network: LogicNetwork, nid: int) -> str:
-    node = network.node(nid)
+    node = network.nodes[nid]
     if node.kind == NodeKind.INPUT:
         assert node.name is not None
         return node.name
@@ -414,12 +435,13 @@ def map_network(
     if k < 2:
         raise ValueError(f"LUT size must be at least 2, got {k}")
     cuts = _enumerate_cuts(network, k, cut_limit)
+    nodes = network.nodes
 
     # Depth labelling: best achievable mapped depth per node.
     depth: Dict[int, int] = {}
     best_cut: Dict[int, Cut] = {}
     for nid in network.topological_order():
-        node = network.node(nid)
+        node = nodes[nid]
         if node.kind in _LEAF_KINDS:
             depth[nid] = 0
             best_cut[nid] = frozenset([nid])
@@ -442,7 +464,7 @@ def map_network(
     # leaves add the fewest *new* LUTs (reuse already-demanded cones).
     required_depth: Dict[int, int] = {}
     for nid in network.outputs.values():
-        if network.node(nid).kind not in _LEAF_KINDS:
+        if nodes[nid].kind not in _LEAF_KINDS:
             prev = required_depth.get(nid)
             required_depth[nid] = depth[nid] if prev is None else max(prev, depth[nid])
     chosen_cut: Dict[int, Cut] = {}
@@ -465,7 +487,7 @@ def map_network(
                 continue
             new_gates = sum(
                 1 for leaf in cut
-                if network.node(leaf).kind not in _LEAF_KINDS
+                if nodes[leaf].kind not in _LEAF_KINDS
                 and leaf not in seen
             )
             key = (new_gates, len(cut), d)
@@ -478,7 +500,7 @@ def map_network(
             chosen = best[3]
         chosen_cut[nid] = chosen
         for leaf in chosen:
-            if network.node(leaf).kind in _LEAF_KINDS:
+            if nodes[leaf].kind in _LEAF_KINDS:
                 continue
             slack_depth = required_depth.get(nid, depth[nid]) - 1
             prev = required_depth.get(leaf)

@@ -19,6 +19,12 @@ Two engineering options orthogonal to the core algorithm:
 * ``moore_outputs`` — realize a Moore machine's output function in LUTs
   outside the memory (Fig. 3), shrinking the word to the state code.
 * ``clock_control`` — add the §6 idle-state enable logic.
+
+The machine checks, the ROM contents and the three pieces of glue logic
+depend only on the STG, the state encoding and the LUT size, not on the
+aspect ratio or the other knobs, so :func:`map_fsm_to_rom` reads them
+through the content-keyed FSM memo (:mod:`repro.fsm.memo`): the tuner's
+grid synthesizes each once per (STG, encoding, k).
 """
 
 from __future__ import annotations
@@ -29,6 +35,7 @@ from repro.arch.bram import BramConfig
 from repro.arch.memblock import MemoryBlockModel, resolve_backend
 from repro.fsm.encoding import StateEncoding, binary_encoding
 from repro.fsm.machine import FSM, FsmError
+from repro.fsm.memo import fsm_memo
 from repro.logic.lutmap import LutMapping, map_network, map_truth_tables
 from repro.logic.truthtable import TruthTable
 from repro.romfsm.clock_control import synthesize_clock_control
@@ -117,6 +124,10 @@ def resolve_rom_encoding(
     return resolved
 
 
+def _encoding_key(encoding: StateEncoding) -> tuple:
+    return (encoding.style, encoding.width, tuple(sorted(encoding.codes.items())))
+
+
 def map_fsm_to_rom(
     fsm: FSM,
     k: int = 4,
@@ -172,7 +183,12 @@ def map_fsm_to_rom(
     if moore_outputs not in ("auto", "external", "internal"):
         raise ValueError(f"bad moore_outputs option {moore_outputs!r}")
     mem: MemoryBlockModel = resolve_backend(backend)
-    fsm.validate()
+    fsm_memo(fsm, ("validate",), lambda: fsm.validate() or True)
+    is_moore = fsm_memo(fsm, ("is_moore",), fsm.is_moore)
+
+    def is_complete() -> bool:  # only asked when Moore outputs may move
+        return fsm_memo(fsm, ("is_complete",), fsm.is_complete)
+
     forced: Optional[BramConfig] = None
     if aspect is not None:
         for config in mem.configs:
@@ -185,15 +201,23 @@ def map_fsm_to_rom(
                 f"{fsm.name}: {mem.name} offers no aspect ratio named "
                 f"{aspect!r} (choose from {names})"
             )
-    encoding = resolve_rom_encoding(fsm, encoding)
+    if isinstance(encoding, StateEncoding):
+        encoding = resolve_rom_encoding(fsm, encoding)
+    else:
+        name = encoding
+        encoding = fsm_memo(
+            fsm, ("rom-encoding", name),
+            lambda: resolve_rom_encoding(fsm, name),
+        )
+    ekey = _encoding_key(encoding)
     s = encoding.width
     num_inputs = fsm.num_inputs
     num_outputs = fsm.num_outputs
 
     use_external = moore_outputs == "external"
-    if use_external and not fsm.is_moore():
+    if use_external and not is_moore:
         raise MappingError("moore_outputs='external' requires a Moore machine")
-    if use_external and not fsm.is_complete():
+    if use_external and not is_complete():
         raise MappingError(
             "external Moore outputs require a complete machine: on "
             "unspecified inputs the hold convention outputs 0, which a "
@@ -203,7 +227,9 @@ def map_fsm_to_rom(
     def data_bits(external: bool) -> int:
         return s if external else s + num_outputs
 
-    candidate_compaction = compact_columns(fsm)
+    candidate_compaction = fsm_memo(
+        fsm, ("compaction",), lambda: compact_columns(fsm)
+    )
 
     # Moore auto-externalization (the prep4 case, Fig. 3): move the
     # output function into LUTs when that lets fewer memory blocks carry
@@ -213,8 +239,8 @@ def map_fsm_to_rom(
     if (
         moore_outputs == "auto"
         and not use_external
-        and fsm.is_moore()
-        and fsm.is_complete()
+        and is_moore
+        and is_complete()
     ):
         best_addr = s + min(num_inputs, candidate_compaction.width)
         lane_width = max(
@@ -307,15 +333,24 @@ def map_fsm_to_rom(
         state_bits=s,
         output_bits=0 if use_external else num_outputs,
     )
-    contents = generate_contents(fsm, encoding, layout, compaction)
-
-    mux_mapping = (
-        compaction.build_mux_network(encoding, k=k) if compaction is not None
-        else None
+    # Memoised products are shared between implementations: BlockRam
+    # copies the contents, and rewrite_contents replaces the list.
+    contents = fsm_memo(
+        fsm, ("contents", ekey, layout, compaction is not None),
+        lambda: generate_contents(fsm, encoding, layout, compaction),
     )
-    moore_mapping = (
-        synthesize_moore_outputs(fsm, encoding, k=k) if use_external else None
-    )
+    mux_mapping = None
+    if compaction is not None:
+        mux_mapping = fsm_memo(
+            fsm, ("mux", ekey, k),
+            lambda: compaction.build_mux_network(encoding, k=k),
+        )
+    moore_mapping = None
+    if use_external:
+        moore_mapping = fsm_memo(
+            fsm, ("moore-outputs", ekey, k),
+            lambda: synthesize_moore_outputs(fsm, encoding, k=k),
+        )
 
     impl = RomFsmImplementation(
         fsm=fsm,
@@ -331,8 +366,11 @@ def map_fsm_to_rom(
         backend=mem,
     )
     if clock_control:
-        impl.clock_control = synthesize_clock_control(
-            fsm, encoding, outputs_in_rom=not use_external, k=k,
-            max_idle_cubes=max_idle_cubes,
+        impl.clock_control = fsm_memo(
+            fsm, ("clock-control", ekey, not use_external, k, max_idle_cubes),
+            lambda: synthesize_clock_control(
+                fsm, encoding, outputs_in_rom=not use_external, k=k,
+                max_idle_cubes=max_idle_cubes,
+            ),
         )
     return impl

@@ -37,7 +37,6 @@ from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 from repro.arch.memblock import MemoryBlockModel, resolve_backend
 from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM, FsmError
-from repro.fsm.markov import clear_stationary_cache  # noqa: F401 (re-export)
 from repro.logutil import get_logger, kv
 from repro.pipeline.artifact import Artifact, fingerprint
 from repro.pipeline.cache import ArtifactCache, resolve_cache

@@ -138,18 +138,20 @@ class TestAnneal:
 
 class TestStrategyMemo:
     def test_memo_returns_the_shared_object(self):
-        from repro.fsm.assign import clear_strategy_cache, make_strategy_encoding
+        from repro.fsm.assign import make_strategy_encoding
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_strategy_cache()
+        clear_fsm_memo()
         fsm = load_benchmark("dk14")
         first = make_strategy_encoding(fsm, "annealed@0")
         second = make_strategy_encoding(fsm, "annealed@0")
         assert first is second
 
     def test_memo_keyed_by_strategy_name(self):
-        from repro.fsm.assign import clear_strategy_cache, make_strategy_encoding
+        from repro.fsm.assign import make_strategy_encoding
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_strategy_cache()
+        clear_fsm_memo()
         fsm = load_benchmark("dk14")
         binary = make_strategy_encoding(fsm, "binary")
         gray = make_strategy_encoding(fsm, "gray")
@@ -157,22 +159,24 @@ class TestStrategyMemo:
         assert binary.style != gray.style
 
     def test_memo_keyed_by_machine(self):
-        from repro.fsm.assign import clear_strategy_cache, make_strategy_encoding
+        from repro.fsm.assign import make_strategy_encoding
+        from repro.fsm.memo import clear_fsm_memo
         from repro.fsm.kiss import parse_kiss
 
-        clear_strategy_cache()
+        clear_fsm_memo()
         a = load_benchmark("dk14")
         b = load_benchmark("donfile")
         assert (make_strategy_encoding(a, "binary")
                 is not make_strategy_encoding(b, "binary"))
 
     def test_memo_hit_equals_fresh_computation(self):
-        from repro.fsm.assign import clear_strategy_cache, make_strategy_encoding
+        from repro.fsm.assign import make_strategy_encoding
+        from repro.fsm.memo import clear_fsm_memo
 
         fsm = load_benchmark("dk14")
-        clear_strategy_cache()
+        clear_fsm_memo()
         first = make_strategy_encoding(fsm, "annealed@3")
-        clear_strategy_cache()
+        clear_fsm_memo()
         fresh = make_strategy_encoding(fsm, "annealed@3")
         assert first is not fresh
         assert first.codes == fresh.codes

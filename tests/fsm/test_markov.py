@@ -134,37 +134,37 @@ class TestPredictions:
 
 class TestStationaryCache:
     def test_cached_result_matches_direct_computation(self):
-        from repro.fsm.markov import clear_stationary_cache, stationary_for
+        from repro.fsm.markov import stationary_for
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_stationary_cache()
+        clear_fsm_memo()
         fsm = load_benchmark("keyb")
         direct = stationary_distribution(transition_matrix(fsm))
         cached = stationary_for(fsm)
         assert np.allclose(cached, direct)
 
     def test_second_call_returns_the_same_object(self):
-        from repro.fsm.markov import clear_stationary_cache, stationary_for
+        from repro.fsm.markov import stationary_for
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_stationary_cache()
+        clear_fsm_memo()
         fsm = load_benchmark("dk14")
         assert stationary_for(fsm) is stationary_for(fsm)
 
     def test_cached_array_is_read_only(self):
-        from repro.fsm.markov import clear_stationary_cache, stationary_for
+        from repro.fsm.markov import stationary_for
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_stationary_cache()
+        clear_fsm_memo()
         pi = stationary_for(load_benchmark("dk14"))
         with pytest.raises(ValueError):
             pi[0] = 0.5
 
     def test_keyed_by_stg_not_by_name(self):
-        from repro.fsm.markov import (
-            clear_stationary_cache,
-            stationary_for,
-            stg_fingerprint,
-        )
+        from repro.fsm.markov import stationary_for, stg_fingerprint
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_stationary_cache()
+        clear_fsm_memo()
         a = parse_kiss(DETECTOR, "det")
         b = parse_kiss(DETECTOR.replace("1 D C 1", "1 D A 1"), "det")
         assert stg_fingerprint(a) != stg_fingerprint(b)
@@ -172,10 +172,11 @@ class TestStationaryCache:
         assert stationary_for(a) is not stationary_for(b)
 
     def test_clear_forgets_entries(self):
-        from repro.fsm.markov import clear_stationary_cache, stationary_for
+        from repro.fsm.markov import stationary_for
+        from repro.fsm.memo import clear_fsm_memo
 
-        clear_stationary_cache()
+        clear_fsm_memo()
         fsm = load_benchmark("dk14")
         first = stationary_for(fsm)
-        clear_stationary_cache()
+        clear_fsm_memo()
         assert stationary_for(fsm) is not first

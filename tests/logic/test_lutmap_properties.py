@@ -4,8 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.logic.cube import Cover, Cube
-from repro.logic.lutmap import map_network, map_truth_tables
-from repro.logic.network import sop_to_network
+from repro.logic.lutmap import (
+    _cone_truth_table,
+    _enumerate_cuts,
+    map_network,
+    map_truth_tables,
+)
+from repro.logic.network import NodeKind, sop_to_network
 from repro.logic.truthtable import TruthTable
 
 N_VARS = 5
@@ -79,3 +84,34 @@ def test_shannon_mapper_within_bound(bits):
     table = TruthTable(5, bits)
     mapping = map_truth_tables({"f": (tuple(NAMES), table)}, k=4)
     assert mapping.num_luts <= 3
+
+
+def _evaluate_cone(network, nid, leaf_values):
+    """Oracle: one assignment at a time, recursively from the root."""
+    if nid in leaf_values:
+        return leaf_values[nid]
+    node = network.node(nid)
+    args = [_evaluate_cone(network, f, leaf_values) for f in node.fanins]
+    return {
+        NodeKind.CONST0: lambda: 0,
+        NodeKind.CONST1: lambda: 1,
+        NodeKind.NOT: lambda: args[0] ^ 1,
+        NodeKind.AND: lambda: args[0] & args[1],
+        NodeKind.OR: lambda: args[0] | args[1],
+        NodeKind.XOR: lambda: args[0] ^ args[1],
+    }[node.kind]()
+
+
+@given(multi_output_strategy(), st.sampled_from([2, 3, 4, 5]))
+@settings(max_examples=30, deadline=None)
+def test_bit_parallel_cone_tables_match_per_assignment_evaluation(covers, k):
+    network = sop_to_network(covers, NAMES)
+    ins = network.inputs
+    network.set_output("x", network.xor_(ins["x0"], network.not_(ins["x1"])))
+    for nid, cuts in _enumerate_cuts(network, k, 12).items():
+        for cut in cuts:
+            leaves = sorted(cut)
+            table = _cone_truth_table(network, nid, leaves)
+            for a in range(1 << len(leaves)):
+                values = {leaf: (a >> i) & 1 for i, leaf in enumerate(leaves)}
+                assert table.evaluate(a) == _evaluate_cone(network, nid, values)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import shutil
 import sys
@@ -49,8 +50,7 @@ from repro.tune import (  # noqa: E402
 from repro.tune.fitness import tune_config  # noqa: E402
 from repro.arch.memblock import resolve_backend  # noqa: E402
 from repro.bench.suite import load_benchmark  # noqa: E402
-from repro.fsm.assign import clear_strategy_cache  # noqa: E402
-from repro.fsm.markov import clear_stationary_cache  # noqa: E402
+from repro.fsm.memo import clear_fsm_memo  # noqa: E402
 
 
 def tuned_round(name, backend, cache_dir, jobs, cycles, seed):
@@ -86,11 +86,11 @@ def naive_round(name, backend, cycles, seed, limit):
     simulated individually — no cache, no dedupe, no pruning, no
     in-process memos.  The sample *strides* across the full grid (the
     enumeration orders the encoding axis outermost, so a head-of-list
-    sample would be all cheap binary-encoding candidates) and the
-    stationary/strategy memos are cleared before each candidate, the
-    per-candidate state a tunerless loop would have.  ``limit`` bounds
-    the bench's wall-clock; the rate is what matters and is
-    per-candidate."""
+    sample would be all cheap binary-encoding candidates) and the FSM
+    memo (encodings, occupancy, ROM contents and glue logic) is cleared
+    before each candidate, the per-candidate state a tunerless loop
+    would have.  ``limit`` bounds the bench's wall-clock; the rate is
+    what matters and is per-candidate."""
     fsm = load_benchmark(name)
     model = resolve_backend(backend)
     space = default_space(fsm, model)
@@ -103,8 +103,7 @@ def naive_round(name, backend, cycles, seed, limit):
     pipeline = build_tune_pipeline()
     start = time.perf_counter()
     for candidate in sample:
-        clear_stationary_cache()
-        clear_strategy_cache()
+        clear_fsm_memo()
         config = tune_config(
             (name, None), candidate.config_overrides(),
             backend=model.name, num_cycles=cycles, seed=seed,
@@ -202,6 +201,7 @@ def main(argv=None) -> int:
             "seed": args.seed,
             "jobs": args.jobs,
             "naive_limit": args.naive_limit,
+            "cores": os.cpu_count(),
             "python": platform.python_version(),
         },
         "benchmarks": benchmarks,
