@@ -238,35 +238,18 @@ def _print_eval_profile(report) -> None:
 
     Reuses the :class:`~repro.pipeline.driver.RunManifest` aggregation
     the ``tables`` command already records — no extra instrumentation;
-    stages appear in execution order.  The simulation stages also report
-    which engine produced their traces (codegen / interpreter /
-    oracle-fallback, per :mod:`repro.synth.codegen`); a cache-hit
-    simulate ran nothing, shown as ``(cached)``.
+    stages appear in execution order.
     """
     from repro.pipeline.driver import RunManifest
-    from repro.synth import codegen
 
-    notes = codegen.engine_notes()
-    engines = {
-        "simulate": ", ".join(
-            f"{tag}={engine}" for tag, engine in sorted(notes.items())
-        ),
-        "eco-simulate": notes.get("rom", ""),
-    }
     manifest = RunManifest.from_reports([report])
-    rows = []
-    for name, totals in manifest.stages.items():
-        engine = engines.get(name, "-")
-        if not engine:
-            engine = "(cached)" if totals.hits else "-"
-        rows.append(
-            [name, totals.hits, totals.misses, f"{totals.seconds:.3f}", engine]
-        )
+    rows = [
+        [name, totals.hits, totals.misses, f"{totals.seconds:.3f}"]
+        for name, totals in manifest.stages.items()
+    ]
     rows.append(["total", manifest.cache_hits, manifest.cache_misses,
-                 f"{report.seconds:.3f}", "-"])
-    print(format_table(
-        ["stage", "hits", "misses", "seconds", "sim engine"], rows
-    ))
+                 f"{report.seconds:.3f}"])
+    print(format_table(["stage", "hits", "misses", "seconds"], rows))
     print()
 
 
@@ -343,10 +326,6 @@ def _cmd_eval(args: argparse.Namespace) -> int:
             f"{point.fitness.get('frequency_mhz', 0):g} MHz on "
             f"{tuned.backend})"
         )
-    if args.profile:
-        from repro.synth import codegen
-
-        codegen.reset_engine_notes()
     result, report = evaluate_benchmark_detailed(
         fsm,
         frequencies_mhz=args.freq,
@@ -453,10 +432,6 @@ def _cmd_eco(args: argparse.Namespace) -> int:
 
     from repro.flows.eco import EcoError, eco_evaluate
 
-    if args.profile:
-        from repro.synth import codegen
-
-        codegen.reset_engine_notes()
     try:
         result, report = eco_evaluate(
             old,

@@ -16,7 +16,7 @@ anything that is not ROM-only, and patches the mapped implementation in
 place via
 :meth:`repro.romfsm.impl.RomFsmImplementation.rewrite_contents` —
 skipping parse→encode→ff-synth→rom-map entirely.  ``eco-simulate``
-re-runs the patched ROM with the codegen replayer and verifies it
+re-runs the patched ROM through the word-parallel replay and verifies it
 cycle-exactly against the edited reference machine; ``eco-power``
 re-estimates ROM power/timing from the fresh activity numbers.
 

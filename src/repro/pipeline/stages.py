@@ -92,7 +92,7 @@ STAGE_VERSIONS: Dict[str, str] = {
     # flows.design's candidate-evaluation stage rides the same registry.
     "design-candidates": "1",
     # flows.eco's incremental ECO path (paper §4.2): patch the mapped ROM
-    # image in place, re-simulate with the codegen replayer, re-estimate.
+    # image in place, re-simulate with the word-parallel replay, re-estimate.
     "eco-patch": "1",
     "eco-simulate": "1",
     "eco-power": "1",

@@ -31,9 +31,10 @@ from repro.logic.lutmap import LutMapping
 from repro.romfsm.clock_control import ClockControl
 from repro.romfsm.compaction import ColumnCompaction
 from repro.romfsm.contents import RomLayout, generate_contents
-from repro.synth import codegen
 from repro.synth.wordsim import (
+    evaluate_mapping_words,
     pack_bit_column,
+    pack_bit_columns,
     transpose_words,
     unpack_word,
     word_toggles,
@@ -283,8 +284,11 @@ class RomFsmImplementation:
 
         current_codes = codes[:num_cycles]
         mask = (1 << num_cycles) - 1
-        state_words = codegen.pack_bit_columns(current_codes, width)
-        stim_words = codegen.pack_bit_columns(stimulus, fsm.num_inputs)
+        # One pack over all num_cycles + 1 codes per state bit: the
+        # replay's hold check needs the next-state column as well.
+        code_words = pack_bit_columns(codes, width)
+        state_words = [word & mask for word in code_words]
+        stim_words = pack_bit_columns(stimulus, fsm.num_inputs)
 
         def base_words() -> Dict[str, int]:
             words = {
@@ -297,8 +301,8 @@ class RomFsmImplementation:
         mux_nets: Optional[Dict[str, int]] = None
         if self.compaction is not None:
             assert self.mux_mapping is not None
-            mux_nets = codegen.evaluate_words(
-                self.mux_mapping, base_words(), mask, tag="rom"
+            mux_nets = evaluate_mapping_words(
+                self.mux_mapping, base_words(), mask
             )
             out_nets = self.mux_mapping.outputs
             compacted_list = transpose_words(
@@ -325,15 +329,15 @@ class RomFsmImplementation:
                 fb = [0] + ref_outs[:-1]
                 for o in range(fsm.num_outputs):
                     words[f"fb_out{o}"] = pack_bit_column(fb, o)
-            ctl_nets = codegen.evaluate_words(cc.mapping, words, mask, tag="rom")
+            ctl_nets = evaluate_mapping_words(cc.mapping, words, mask)
             en_word = ctl_nets[cc.mapping.outputs["en"]]
         else:
             en_word = mask
 
         moore_nets: Optional[Dict[str, int]] = None
         if self.moore_output_mapping is not None:
-            moore_nets = codegen.evaluate_words(
-                self.moore_output_mapping, base_words(), mask, tag="rom"
+            moore_nets = evaluate_mapping_words(
+                self.moore_output_mapping, base_words(), mask
             )
             out_nets = self.moore_output_mapping.outputs
             observed_list = transpose_words(
@@ -349,52 +353,12 @@ class RomFsmImplementation:
         # Replay the memory reads: verify the guessed trajectory against
         # the actual programmed words.  By induction, a full match means
         # the per-cycle evaluator would compute exactly these states,
-        # outputs and net values.  The codegen engine runs a compiled
-        # replay specialized to this word layout; the interpreted loop
-        # below is the fallback (and the engine when codegen is off).
-        rom_words = self._rom.words
-        outcome: Optional[Tuple[int, Optional[int]]] = None
-        compiled_ok = False
-        if codegen.current_engine() == "codegen":
-            clocked = self.clock_control is not None
-            try:
-                replay = codegen.compiled_replay(clocked, layout.output_bits)
-                if clocked:
-                    full_state_words = codegen.pack_bit_columns(codes, width)
-                    out_bit_words = codegen.pack_bit_columns(
-                        ref_outs, layout.output_bits
-                    )
-                else:
-                    full_state_words = out_bit_words = []
-                outcome = replay(
-                    rom_words, addrs, codes, ref_outs,
-                    en_word, mask, full_state_words, out_bit_words,
-                )
-                compiled_ok = True
-            except Exception:
-                codegen.count_fallback()
-        if not compiled_ok:
-            state_code = codes[0]
-            latched = 0
-            last_read: Optional[int] = None
-            enabled = 0
-            for k in range(num_cycles):
-                if en_word >> k & 1:
-                    enabled += 1
-                    word = rom_words[addrs[k]]
-                    next_code, out_field = layout.split_word(word)
-                    last_read = word
-                else:
-                    next_code, out_field = state_code, latched
-                if next_code != codes[k + 1] or out_field != ref_outs[k]:
-                    break
-                state_code = next_code
-                latched = out_field
-            else:
-                outcome = (enabled, last_read)
-        codegen.note_engine("rom", "codegen" if compiled_ok else "interpreter")
+        # outputs and net values.
+        outcome = _replay_rom(
+            self._rom.words, addrs, codes, ref_outs, layout.output_bits,
+            en_word, code_words,
+        )
         if outcome is None:
-            codegen.note_engine("rom", "oracle-fallback")
             return self.run_reference(stimulus, collect_nets)
         enabled, last_read = outcome
 
@@ -414,13 +378,13 @@ class RomFsmImplementation:
                     signal_toggles[f"{tag}{b}"] = toggles
 
         count_word("in", stim_words)
-        count_word("addr", codegen.pack_bit_columns(addrs, layout.addr_bits))
+        count_word("addr", pack_bit_columns(addrs, layout.addr_bits))
         count_word("en", [en_word])
         q_list = [
             layout.make_word(codes[k + 1], ref_outs[k])
             for k in range(num_cycles)
         ]
-        count_word("q", codegen.pack_bit_columns(q_list, layout.data_bits))
+        count_word("q", pack_bit_columns(q_list, layout.data_bits))
 
         def net_toggle_counts(nets: Optional[Dict[str, int]]) -> Dict[str, int]:
             counts: Dict[str, int] = {}
@@ -606,3 +570,60 @@ class RomFsmImplementation:
         self.contents = contents
         self._rom.load(contents)
         self.fsm = new_fsm
+
+
+def _replay_rom(
+    rom_words: List[int],
+    addrs: List[int],
+    codes: List[int],
+    ref_outs: List[int],
+    output_bits: int,
+    en_word: int,
+    code_words: List[int],
+) -> Optional[Tuple[int, Optional[int]]]:
+    """Check an STG-derived trajectory against the programmed ROM words.
+
+    Returns ``(enabled_edges, last_read_word)``, or ``None`` on the first
+    disagreement (the caller then runs the per-cycle oracle).  The
+    expected word for an enabled edge ``k`` is
+    ``codes[k + 1] << output_bits | ref_outs[k]``, which equals the
+    stored word exactly when both the next-state and output fields
+    match.  ``code_words`` are the packed bit columns of ``codes``.
+    """
+    n = len(addrs)
+    mask = (1 << n) - 1
+    disabled = ~en_word & mask
+    if not disabled:
+        # Every edge enabled (always, without clock control): one list
+        # compare, no per-cycle Python.
+        expected = [
+            (codes[k + 1] << output_bits) | ref_outs[k] for k in range(n)
+        ]
+        if [rom_words[a] for a in addrs] != expected:
+            return None
+        return n, (expected[-1] if n else None)
+    # A disabled edge must hold the state: any state-bit change on a
+    # disabled cycle contradicts the latch ...
+    change = 0
+    for w in code_words:
+        change |= w ^ (w >> 1)
+    if change & disabled:
+        return None
+    # ... and hold the latched output: bit k of (w ^ (w << 1)) is
+    # ref_outs[k] ^ ref_outs[k-1] (with the k=0 latch reset to 0).
+    for w in pack_bit_columns(ref_outs, output_bits):
+        if (w ^ (w << 1)) & disabled:
+            return None
+    enabled = 0
+    last: Optional[int] = None
+    bits = en_word & mask
+    while bits:
+        low = bits & -bits
+        bits ^= low
+        k = low.bit_length() - 1
+        word = rom_words[addrs[k]]
+        if word != (codes[k + 1] << output_bits) | ref_outs[k]:
+            return None
+        enabled += 1
+        last = word
+    return enabled, last

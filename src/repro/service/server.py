@@ -888,26 +888,6 @@ class CompileServer:
                     labels = render_labels({"backend": name})
                     is_open = int(backend["breaker"] != "closed")
                     lines.append(f"romfsm_l2_backend_open{labels} {is_open}")
-        # Simulation-engine health (authoritative for the thread
-        # executor; process-pool workers hold their own counters).
-        from repro.synth import codegen
-
-        cg = codegen.stats()
-        lines.append(
-            "# HELP romfsm_codegen_fallbacks_total Simulations where the "
-            "compiled engine failed and the interpreter took over.")
-        lines.append("# TYPE romfsm_codegen_fallbacks_total counter")
-        lines.append(f"romfsm_codegen_fallbacks_total {cg.fallbacks}")
-        lines.append(
-            "# HELP romfsm_codegen_compiles_total Netlist/replay functions "
-            "compiled (memo and disk misses).")
-        lines.append("# TYPE romfsm_codegen_compiles_total counter")
-        lines.append(f"romfsm_codegen_compiles_total {cg.compiles}")
-        lines.append(
-            "# HELP romfsm_codegen_calls_total Word-parallel netlist "
-            "evaluations answered by the compiled engine.")
-        lines.append("# TYPE romfsm_codegen_calls_total counter")
-        lines.append(f"romfsm_codegen_calls_total {cg.calls}")
         return self.metrics.render(extra_lines=lines)
 
 

@@ -6,7 +6,6 @@ form, factored into a gate network and technology-mapped onto 4-LUTs —
 the role played by SIS + Synplify Pro in the paper's experimental flow.
 """
 
-from repro.synth import codegen
 from repro.synth.blif import (
     BlifModel,
     ff_implementation_vhdl,
@@ -23,7 +22,6 @@ from repro.synth.ff_synth import FfImplementation, synthesize_ff
 from repro.synth.netsim import NetlistTrace, simulate_ff_netlist
 
 __all__ = [
-    "codegen",
     "FfImplementation",
     "synthesize_ff",
     "NetlistTrace",

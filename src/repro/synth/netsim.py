@@ -22,11 +22,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, List, Tuple
 
-from repro.synth import codegen
 from repro.synth.ff_synth import FfImplementation
 from repro.synth.wordsim import (
-    pack_bit_column,
-    popcount,
+    evaluate_mapping_words,
+    pack_bit_columns,
     transpose_words,
     word_toggles,
 )
@@ -86,53 +85,39 @@ def simulate_ff_netlist(
     if num_cycles == 0:
         return simulate_ff_netlist_reference(impl, stimulus)
 
-    if codegen.current_engine() == "codegen":
-        try:
-            trace = _simulate_ff_codegen(impl, stimulus)
-        except Exception:
-            codegen.count_fallback()
-        else:
-            if trace is not None:
-                return trace
-            codegen.note_engine("ff", "oracle-fallback")
-            return simulate_ff_netlist_reference(impl, stimulus)
-
     fsm = impl.fsm
     encoding = impl.encoding
     width = encoding.width
     states, codes = _stg_trajectory(impl, stimulus)
 
-    # Pack the input-net streams: state bits see codes[0..n-1] (the state
-    # *during* each cycle), primary inputs see the stimulus columns.
-    current_codes = codes[:num_cycles]
-    input_words: Dict[str, int] = {}
-    for i in range(width):
-        input_words[encoding.bit_name(i)] = pack_bit_column(current_codes, i)
-    for i in range(fsm.num_inputs):
-        input_words[f"in{i}"] = pack_bit_column(stimulus, i)
+    # One pack over all num_cycles + 1 samples per state bit: bits
+    # 0..n-1 are the codes *during* each cycle, the word shifted right
+    # by one is the next-state column the verification needs.
+    full_words = pack_bit_columns(codes, width)
+    stim_words = pack_bit_columns(stimulus, fsm.num_inputs)
 
     mask = (1 << num_cycles) - 1
-    nets = codegen.evaluate_words(impl.mapping, input_words, mask, tag="ff")
+    input_words: Dict[str, int] = {
+        encoding.bit_name(b): full_words[b] & mask for b in range(width)
+    }
+    for i in range(fsm.num_inputs):
+        input_words[f"in{i}"] = stim_words[i]
+
+    nets = evaluate_mapping_words(impl.mapping, input_words, mask)
 
     # Verify the STG-derived trajectory against the netlist's own
     # next-state outputs; by induction equality here means the per-cycle
     # simulation would visit exactly these states (and therefore compute
     # exactly these net values).
     out_nets = impl.mapping.outputs
-    next_codes = codes[1:]
-    for i in range(width):
-        if nets[out_nets[f"ns{i}"]] != pack_bit_column(next_codes, i):
-            codegen.note_engine("ff", "oracle-fallback")
+    for b in range(width):
+        if nets[out_nets[f"ns{b}"]] != (full_words[b] >> 1) & mask:
             return simulate_ff_netlist_reference(impl, stimulus)
 
-    output_words = [nets[out_nets[f"out{i}"]] for i in range(fsm.num_outputs)]
-    outputs: List[int] = []
-    for k in range(num_cycles):
-        out = 0
-        for i, word in enumerate(output_words):
-            if word >> k & 1:
-                out |= 1 << i
-        outputs.append(out)
+    outputs = transpose_words(
+        [nets[out_nets[f"out{i}"]] for i in range(fsm.num_outputs)],
+        num_cycles,
+    )
 
     net_toggles: Dict[str, int] = {}
     for name, word in nets.items():
@@ -141,8 +126,8 @@ def simulate_ff_netlist(
             net_toggles[name] = toggles
 
     ff_toggles = 0
-    for i in range(width):
-        ff_toggles += word_toggles(pack_bit_column(codes, i), num_cycles + 1)
+    for word in full_words:
+        ff_toggles += word_toggles(word, num_cycles + 1)
 
     return NetlistTrace(
         num_cycles=num_cycles,
@@ -169,71 +154,6 @@ def _stg_trajectory(
     return (
         [fsm.states[i] for i in indices],
         [code_of[i] for i in indices],
-    )
-
-
-def _simulate_ff_codegen(
-    impl: FfImplementation, stimulus: List[int]
-) -> "NetlistTrace | None":
-    """The codegen-engine fast path (same contract, same results).
-
-    Differences from the interpreter path are mechanical, not
-    semantic: bit columns pack through
-    :func:`repro.synth.codegen.pack_bit_columns`, the netlist is the
-    compiled straight-line function, and the output stream is rebuilt
-    with the sparse :func:`~repro.synth.wordsim.transpose_words`.
-    Returns ``None`` when the netlist disagrees with the STG-derived
-    trajectory (the caller then runs the per-cycle oracle) and raises
-    on any internal failure (the caller then falls back to the
-    interpreter engine and counts the fallback).
-    """
-    num_cycles = len(stimulus)
-    fsm = impl.fsm
-    encoding = impl.encoding
-    width = encoding.width
-    states, codes = _stg_trajectory(impl, stimulus)
-
-    # One pack over all num_cycles + 1 samples per state bit: bits
-    # 0..n-1 are the codes *during* each cycle, the word shifted right
-    # by one gives the next-state column the verification needs.
-    full_words = codegen.pack_bit_columns(codes, width)
-    stim_words = codegen.pack_bit_columns(stimulus, fsm.num_inputs)
-
-    mask = (1 << num_cycles) - 1
-    input_words: Dict[str, int] = {
-        encoding.bit_name(b): full_words[b] & mask for b in range(width)
-    }
-    for i in range(fsm.num_inputs):
-        input_words[f"in{i}"] = stim_words[i]
-
-    nets = codegen.evaluate_words(impl.mapping, input_words, mask, tag="ff")
-
-    out_nets = impl.mapping.outputs
-    for b in range(width):
-        if nets[out_nets[f"ns{b}"]] != (full_words[b] >> 1) & mask:
-            return None
-
-    outputs = transpose_words(
-        [nets[out_nets[f"out{i}"]] for i in range(fsm.num_outputs)],
-        num_cycles,
-    )
-
-    net_toggles: Dict[str, int] = {}
-    for name, word in nets.items():
-        toggles = word_toggles(word, num_cycles)
-        if toggles:
-            net_toggles[name] = toggles
-
-    ff_toggles = 0
-    for word in full_words:
-        ff_toggles += word_toggles(word, num_cycles + 1)
-
-    return NetlistTrace(
-        num_cycles=num_cycles,
-        output_stream=outputs,
-        state_stream=states,
-        net_toggles=net_toggles,
-        ff_output_toggles=ff_toggles,
     )
 
 

@@ -21,7 +21,7 @@ from typing import Dict, List, Sequence
 
 from repro.logic.lutmap import GND_NET, VCC_NET, LutMapping
 
-try:  # the container ships numpy; transpose degrades gracefully without it
+try:  # packing and transpose degrade gracefully without numpy
     import numpy as _np
 except Exception:  # pragma: no cover - numpy is a declared dependency
     _np = None
@@ -30,6 +30,7 @@ __all__ = [
     "popcount",
     "pack_column",
     "pack_bit_column",
+    "pack_bit_columns",
     "unpack_word",
     "transpose_words",
     "interleave_words",
@@ -61,6 +62,36 @@ def pack_bit_column(values: Sequence[int], bit: int) -> int:
         if v & probe:
             word |= 1 << k
     return word
+
+
+def pack_bit_columns(values: Sequence[int], width: int) -> List[int]:
+    """Per-bit packed words of a multi-bit sample column.
+
+    Exactly ``[pack_bit_column(values, b) for b in range(width)]`` but
+    vectorized through numpy when the samples fit a machine word; the
+    pure-Python packer is the fallback, so results are always
+    bit-identical.
+    """
+    if width <= 0:
+        return []
+    if _np is not None and width <= 64 and len(values) >= 64:
+        try:
+            arr = _np.asarray(values, dtype=_np.uint64)
+        except (OverflowError, TypeError):
+            pass  # samples wider than uint64 (or not ints): Python path
+        else:
+            one = _np.uint64(1)
+            return [
+                int.from_bytes(
+                    _np.packbits(
+                        ((arr >> _np.uint64(b)) & one).astype(_np.uint8),
+                        bitorder="little",
+                    ).tobytes(),
+                    "little",
+                )
+                for b in range(width)
+            ]
+    return [pack_bit_column(values, b) for b in range(width)]
 
 
 def unpack_word(word: int, num_cycles: int) -> List[int]:

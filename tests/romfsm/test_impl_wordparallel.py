@@ -6,16 +6,23 @@ ROM against the guess; :meth:`run_reference` is the retained per-cycle
 evaluator.  Every observable — output and state streams, top-level
 signal toggles, internal net toggles of all three auxiliary mappings,
 and the mutable BRAM statistics (clock edges, enabled edges, latched
-output word) — must agree for every mapper configuration: plain,
-column-compacted, clock-controlled, Moore or Mealy output placement.
+output word) — must agree for every mapper configuration (plain,
+column-compacted, clock-controlled, Moore or Mealy output placement).
+Where the ROM words or the enable logic disagree with the STG, the fast
+path must detect it and run the oracle.
 """
+
+import dataclasses
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generator import generate_fsm
+from repro.fsm.kiss import parse_kiss
 from repro.fsm.simulate import idle_biased_stimulus, random_stimulus
+from repro.logic.lutmap import GND_NET
+from repro.romfsm.impl import RomFsmImplementation
 from repro.romfsm.mapper import map_fsm_to_rom
 from tests.romfsm.test_equivalence_properties import _make_spec, spec_strategy
 
@@ -92,6 +99,70 @@ def test_matches_reference_without_net_collection():
     fsm = generate_fsm(_make_spec(6, 2, 2, 0, 2, 0.5, 0.3, False, seed=9))
     stim = random_stimulus(fsm.num_inputs, 90, seed=1)
     run_both(fsm, stim, collect_nets=False, clock_control=True)
+
+
+@pytest.mark.parametrize("clock_control", [False, True])
+def test_rom_that_disagrees_with_its_stg_runs_the_oracle(
+        clock_control, monkeypatch):
+    fsm = generate_fsm(_make_spec(6, 2, 2, 0, 2, 0.5, 0.3, False, seed=9))
+    stim = random_stimulus(fsm.num_inputs, 90, seed=1)
+    probe = map_fsm_to_rom(fsm, clock_control=clock_control).run(stim)
+    read = [a for a, en in zip(probe.address_stream, probe.enable_stream)
+            if en]
+    fast_impl, ref_impl = (
+        map_fsm_to_rom(fsm, clock_control=clock_control) for _ in range(2)
+    )
+    assert fast_impl.layout.output_bits
+    for impl in (fast_impl, ref_impl):
+        words = list(impl.contents)
+        words[read[len(read) // 2]] ^= 1  # an output bit of a read word
+        impl._rom.load(words)
+
+    calls = []
+    real = RomFsmImplementation.run_reference
+    monkeypatch.setattr(RomFsmImplementation, "run_reference",
+                        lambda self, *a, **k: calls.append(1) or real(
+                            self, *a, **k))
+    fast = fast_impl.run(stim)
+    assert calls == [1]
+    assert_rom_traces_equal(fast, real(ref_impl, stim))
+    assert fast_impl._rom.output == ref_impl._rom.output
+
+
+MOORE_FSM = generate_fsm(_make_spec(9, 3, 3, 0, 2, 0.5, 0.35, True, seed=11))
+# Never leaves its reset state; only the output depends on the input.
+SELF_LOOP_FSM = parse_kiss(".i 1\n.o 1\n.s 2\n.r a\n"
+                           "0 a a 1\n1 a a 0\n- b a 0\n", name="selfloop")
+
+
+@pytest.mark.parametrize("fsm,config", [
+    pytest.param(MOORE_FSM, dict(clock_control=True), id="outputs_in_rom"),
+    pytest.param(MOORE_FSM,
+                 dict(clock_control=True, moore_outputs="external"),
+                 id="moore_outputs"),
+    pytest.param(SELF_LOOP_FSM, dict(clock_control=True), id="self_loop"),
+])
+def test_disabled_edges_must_hold_state_and_outputs(fsm, config):
+    # EN stuck low: the hardware holds its state and output latch while
+    # the STG walk moves on, so the replay must reject the walk.  With
+    # external Moore outputs only the state check can; on the self-loop
+    # machine only the output check can.
+    stim = random_stimulus(fsm.num_inputs, 120, seed=3)
+
+    def stuck(impl):
+        cc = impl.clock_control
+        outputs = dict(cc.mapping.outputs, en=GND_NET)
+        mapping = dataclasses.replace(cc.mapping, outputs=outputs)
+        return dataclasses.replace(
+            impl, clock_control=dataclasses.replace(cc, mapping=mapping))
+
+    fast_impl, ref_impl = (
+        stuck(map_fsm_to_rom(fsm, **config)) for _ in range(2)
+    )
+    fast = fast_impl.run(stim)
+    ref = ref_impl.run_reference(stim)
+    assert set(ref.state_stream) == {fsm.reset_state}
+    assert_rom_traces_equal(fast, ref)
 
 
 def test_out_of_range_input_matches_reference_error():

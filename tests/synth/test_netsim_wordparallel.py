@@ -9,6 +9,8 @@ and beyond typical chunk sizes) every observable — output stream, state
 stream, per-net toggle counts and flip-flop toggles — must agree.
 """
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -16,6 +18,7 @@ from hypothesis import strategies as st
 from repro.bench.generator import generate_fsm
 from repro.fsm.simulate import random_stimulus
 from repro.synth.ff_synth import synthesize_ff
+import repro.synth.netsim as netsim
 from repro.synth.netsim import (
     simulate_ff_netlist,
     simulate_ff_netlist_reference,
@@ -56,3 +59,21 @@ def test_matches_reference_across_word_widths(cycles, encoding):
         simulate_ff_netlist(impl, stim),
         simulate_ff_netlist_reference(impl, stim),
     )
+
+
+def test_netlist_that_disagrees_with_its_stg_runs_the_oracle(monkeypatch):
+    shape = (7, 3, 2, 0, 2, 0.5, 0.3, False)
+    impl = synthesize_ff(generate_fsm(_make_spec(*shape, seed=7)))
+    # Same states and interface, different STG: the netlist no longer
+    # implements the machine the fast path walks.
+    other = generate_fsm(_make_spec(*shape, seed=8))
+    stale = dataclasses.replace(impl, fsm=other)
+    stim = random_stimulus(other.num_inputs, 120, seed=3)
+
+    calls = []
+    real = netsim.simulate_ff_netlist_reference
+    monkeypatch.setattr(netsim, "simulate_ff_netlist_reference",
+                        lambda *a: calls.append(1) or real(*a))
+    fast = simulate_ff_netlist(stale, stim)
+    assert calls == [1]
+    assert_traces_equal(fast, real(stale, stim))

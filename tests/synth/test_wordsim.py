@@ -9,6 +9,7 @@ it, including :meth:`TruthTable.evaluate_word` against per-assignment
 
 import random
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,6 +19,7 @@ from repro.synth.ff_synth import synthesize_ff
 from repro.synth.wordsim import (
     evaluate_mapping_words,
     pack_bit_column,
+    pack_bit_columns,
     pack_column,
     popcount,
     transpose_words,
@@ -46,6 +48,17 @@ class TestPacking:
         word = pack_bit_column(column, bit)
         assert unpack_word(word, len(column)) == [
             (v >> bit) & 1 for v in column
+        ]
+
+    @pytest.mark.parametrize("width", [0, 1, 7, 64, 70])
+    @pytest.mark.parametrize("length", [0, 5, 64, 200])
+    def test_pack_bit_columns_matches_per_bit_packing(self, width, length):
+        # Covers the numpy path (>= 64 samples of <= 64 bits) and both
+        # pure-Python fallbacks (short columns, samples wider than uint64).
+        rng = random.Random(width * 1000 + length)
+        column = [rng.getrandbits(width) for _ in range(length)]
+        assert pack_bit_columns(column, width) == [
+            pack_bit_column(column, b) for b in range(width)
         ]
 
     @given(column=st.lists(st.integers(0, 1023), max_size=64))
@@ -122,3 +135,9 @@ class TestEvaluateMappingWords:
             nets = mapping.evaluate_all_nets(assignment)
             for name, value in nets.items():
                 assert (words[name] >> k) & 1 == value, (name, k)
+
+    def test_missing_input_word_raises(self):
+        spec = _make_spec(5, 2, 2, 0, 2, 0.5, 0.3, False, seed=4)
+        mapping = synthesize_ff(generate_fsm(spec)).mapping
+        with pytest.raises(KeyError):
+            evaluate_mapping_words(mapping, {}, 1)

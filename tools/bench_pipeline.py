@@ -9,16 +9,10 @@ numbers the word-parallel simulation rewrite is judged against: the
 pre-rewrite cold `planet` evaluation took ~3.14 s on the reference
 machine, and the report computes the speedup against that anchor.
 
-Two further sections judge the compiled simulation engine (PR 8):
-
-- ``engines``: per benchmark, the simulation wall time (FF netlist +
-  ROM replay over the shared stimulus) under the interpreter engine vs
-  the compile-once codegen engine, with the per-benchmark steady-state
-  speedup and the one-time compile cost.  The compiled engine must not
-  fall back anywhere (``fallbacks`` is asserted zero).
-- ``eco``: the latency of absorbing a one-transition ROM-only edit via
-  the warm incremental ECO path (cached parse/rom-map + in-place word
-  patch) vs a full cold re-evaluation of the edited machine.
+A further ``eco`` section records the latency of absorbing a
+one-transition ROM-only edit via the warm incremental ECO path (cached
+parse/rom-map + in-place word patch) vs a full cold re-evaluation of
+the edited machine.
 
 Usage::
 
@@ -31,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import platform
 import shutil
 import sys
@@ -94,64 +89,6 @@ def run_round(benchmarks, cache, cycles, repeat):
             },
         }
     return per_bench, reports
-
-
-def engine_round(benchmarks, cycles, repeat):
-    """Simulation wall time per benchmark under both sim engines.
-
-    Implementations are synthesized once (outside the timed region).
-    The codegen engine is compile-once by design — the compiled
-    function is memoised in-process and in the artifact cache — so the
-    steady-state call time is what repeated evaluations of the same
-    machine (the auto-tuning / ECO workloads) actually pay; that is the
-    number ``speedup`` compares against the interpreter.  The one-time
-    source-generation + ``compile()`` cost is reported separately as
-    ``codegen_first_call_s`` (measured after clearing every compilation
-    cache, the way a fresh process with a cold artifact store pays it).
-    Wall times keep the best of ``repeat`` trials.
-    """
-    from repro.bench.suite import load_benchmark
-    from repro.flows.flow import implement_ff, implement_rom
-    from repro.fsm.simulate import random_stimulus
-    from repro.synth import codegen
-    from repro.synth.netsim import simulate_ff_netlist
-
-    out = {}
-    for name in benchmarks:
-        fsm = load_benchmark(name)
-        ff = implement_ff(fsm)
-        rom = implement_rom(fsm)
-        stimulus = random_stimulus(fsm.num_inputs, cycles, seed=2004)
-        times = {}
-        first_call = None
-        for engine in ("interpreter", "codegen"):
-            codegen.clear_compilation_cache()
-            codegen.reset_stats()
-            walls = []
-            with codegen.use_engine(engine):
-                start = time.perf_counter()
-                simulate_ff_netlist(ff, stimulus)
-                rom.run(stimulus)
-                cold = time.perf_counter() - start
-                for _ in range(repeat):
-                    start = time.perf_counter()
-                    simulate_ff_netlist(ff, stimulus)
-                    rom.run(stimulus)
-                    walls.append(time.perf_counter() - start)
-            stats = codegen.stats()
-            assert stats.fallbacks == 0, (name, engine, stats)
-            times[engine] = min(walls)
-            if engine == "codegen":
-                first_call = cold
-        out[name] = {
-            "interpreter_s": round(times["interpreter"], 6),
-            "codegen_s": round(times["codegen"], 6),
-            "codegen_first_call_s": round(first_call, 6),
-            "speedup": round(
-                times["interpreter"] / times["codegen"], 3
-            ) if times["codegen"] else None,
-        }
-    return out
 
 
 def eco_round(benchmark, cache_dir, cycles, repeat):
@@ -263,9 +200,6 @@ def main(argv=None) -> int:
         )
         warm_wall = time.perf_counter() - warm_start
 
-        engines = engine_round(
-            args.benchmarks, args.cycles, repeat=max(args.repeat, 5)
-        )
         eco = eco_round(
             args.eco_benchmark, cache_dir, args.cycles,
             repeat=max(args.repeat, 3),
@@ -278,6 +212,8 @@ def main(argv=None) -> int:
             "benchmarks": args.benchmarks,
             "num_cycles": args.cycles,
             "repeat": args.repeat,
+            "cold_repeat": args.cold_repeat,
+            "cores": os.cpu_count(),
             "python": platform.python_version(),
         },
         "cold": {
@@ -290,7 +226,6 @@ def main(argv=None) -> int:
             "benchmarks": warm,
             "stages": stage_totals(warm_reports),
         },
-        "engines": engines,
         "eco": eco,
     }
     if "planet" in cold:

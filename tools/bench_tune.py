@@ -6,7 +6,8 @@ Per benchmark, four measured phases (one process, one report):
 1. **cold** — full tuned search (dedupe + exact bound pruning) against
    a fresh artifact cache;
 2. **warm** — the same search again: every fitness evaluation should be
-   a ``tune-fitness`` cache hit;
+   a ``tune-fitness`` cache hit, and ``simulations`` (FF-netlist and ROM
+   runs counted in process) should be zero;
 3. **naive** — the no-cache / no-prune / no-dedupe reference: each grid
    candidate simulated individually (a sample, rate-extrapolated), the
    baseline the tuned path's candidates/sec is compared against;
@@ -27,6 +28,7 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import platform
@@ -39,7 +41,6 @@ from pathlib import Path
 REPO_ROOT = Path(__file__).resolve().parent.parent
 sys.path.insert(0, str(REPO_ROOT / "src"))
 
-from repro.synth import codegen  # noqa: E402
 from repro.tune import (  # noqa: E402
     baseline_candidate,
     build_tune_pipeline,
@@ -51,6 +52,41 @@ from repro.tune.fitness import tune_config  # noqa: E402
 from repro.arch.memblock import resolve_backend  # noqa: E402
 from repro.bench.suite import load_benchmark  # noqa: E402
 from repro.fsm.memo import clear_fsm_memo  # noqa: E402
+from repro.romfsm.impl import RomFsmImplementation  # noqa: E402
+from repro.synth import netsim  # noqa: E402
+
+
+def counting_simulations(fn):
+    """Run ``fn()`` and count the FF-netlist and ROM simulations it
+    starts in this process (``--jobs 1`` runs every search inline).
+
+    Returns ``(result, count)``.  ``simulate_ff_netlist`` is wrapped in
+    every loaded module that imported it by name.
+    """
+    count = 0
+
+    def counted(original):
+        @functools.wraps(original)
+        def wrapper(*args, **kwargs):
+            nonlocal count
+            count += 1
+            return original(*args, **kwargs)
+        return wrapper
+
+    ff = netsim.simulate_ff_netlist
+    owners = [m for m in list(sys.modules.values())
+              if getattr(m, "simulate_ff_netlist", None) is ff]
+    rom_run = RomFsmImplementation.run
+    for module in owners:
+        module.simulate_ff_netlist = counted(ff)
+    RomFsmImplementation.run = counted(rom_run)
+    try:
+        result = fn()
+    finally:
+        for module in owners:
+            module.simulate_ff_netlist = ff
+        RomFsmImplementation.run = rom_run
+    return result, count
 
 
 def tuned_round(name, backend, cache_dir, jobs, cycles, seed):
@@ -137,29 +173,18 @@ def main(argv=None) -> int:
         for name in args.benchmarks:
             entry = {}
 
-            codegen.reset_stats()
-            _, entry["cold"] = tuned_round(
-                name, "virtex2-bram", cache_dir, args.jobs,
-                args.cycles, args.seed,
-            )
-            entry["cold"]["codegen"] = {
-                "compiles": codegen.stats().compiles,
-                "fallbacks": codegen.stats().fallbacks,
-            }
+            def search():
+                return tuned_round(
+                    name, "virtex2-bram", cache_dir, args.jobs,
+                    args.cycles, args.seed,
+                )
 
-            codegen.reset_stats()
-            result, entry["warm"] = tuned_round(
-                name, "virtex2-bram", cache_dir, args.jobs,
-                args.cycles, args.seed,
-            )
-            # A warm search re-simulates nothing: the compiled engine
-            # should not even have been invoked.
-            entry["warm"]["codegen"] = {
-                "compiles": codegen.stats().compiles,
-                "fallbacks": codegen.stats().fallbacks,
-            }
+            (_, entry["cold"]), cold_sims = counting_simulations(search)
+            entry["cold"]["simulations"] = cold_sims
+            # A warm search re-simulates nothing.
+            (result, entry["warm"]), warm_sims = counting_simulations(search)
+            entry["warm"]["simulations"] = warm_sims
 
-            codegen.reset_stats()
             entry["naive"] = naive_round(
                 name, "virtex2-bram", args.cycles, args.seed,
                 args.naive_limit,
@@ -181,7 +206,6 @@ def main(argv=None) -> int:
             )
             entry["replay_ok"] = fresh == result.best_power.fitness
 
-            codegen.reset_stats()
             _, entry["reram"] = tuned_round(
                 name, "reram-1t1r", cache_dir, args.jobs,
                 args.cycles, args.seed,
