@@ -370,8 +370,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
     _install_faults(args)
     from repro.tune import tune_benchmark
 
-    # A suite benchmark is passed by name so the tuner's parse artifact
-    # is the same one `romfsm eval`/`tables` cache (mirrors `eco`).
+    # A suite benchmark name wins over a same-named file (mirrors `eco`).
     target = (
         args.file if args.file in PAPER_BENCHMARKS else _load_fsm_arg(args.file)
     )

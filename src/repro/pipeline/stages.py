@@ -96,14 +96,6 @@ STAGE_VERSIONS: Dict[str, str] = {
     "eco-patch": "1",
     "eco-simulate": "1",
     "eco-power": "1",
-    # repro.tune's candidate-evaluation pipeline: map one fingerprinted
-    # tuner candidate, then score it (power × area × timing) on the
-    # shared stimulus.  Fitness memoisation *is* the tune-fitness cache
-    # entry — its key commits to the tune-map artifact fingerprint, so
-    # candidates that collapse onto the same implementation share one
-    # evaluation.
-    "tune-map": "1",
-    "tune-fitness": "1",
 }
 
 # prep4 is the paper's explicit Fig. 3 case: "the outputs of prep4 were

@@ -5,16 +5,18 @@ encoding, widest-first aspect selection, the Fig. 4 compaction policy.
 This package searches the mapper's free knobs for the Pareto-optimal
 configurations under the paper's own power/area/timing models, as a
 *performance subsystem*: candidates are canonical fingerprinted
-configurations, evaluation reuses shared artifacts through the
-content-addressed cache, batches dispatch onto the crash-tolerant
-process-pool driver, fitness is memoised by candidate fingerprint, and
-Pareto-dominated regions are pruned by an exact lower bound — so
-wall-clock scales with the frontier, not the grid.
+configurations, candidates that map to the same implementation are
+evaluated once, batches dispatch onto the crash-tolerant process-pool
+driver, bounds and fitness are memoised in small sidecar entries of the
+content-addressed cache, and Pareto-dominated regions are pruned by an
+exact lower bound — so wall-clock scales with the frontier, not the
+grid.  The machine searched is the one the caller passed (or the named
+suite benchmark), unchanged.
 
 Entry points: :func:`tune_benchmark` / :func:`tune_many` (library),
 ``romfsm tune`` (CLI), ``POST /v1/tune`` (service).  The result is a
-replayable frontier artifact: any stored point re-evaluates to
-bit-identical objectives (:func:`replay_point`).
+replayable frontier artifact: any stored point re-maps and
+re-simulates to bit-identical objectives (:func:`replay_point`).
 """
 
 from repro.tune.fitness import (
@@ -22,7 +24,7 @@ from repro.tune.fitness import (
     DEFAULT_TUNE_CYCLES,
     DEFAULT_TUNE_FREQUENCY_MHZ,
     area_cost,
-    build_tune_pipeline,
+    candidate_fitness,
     power_lower_bound,
 )
 from repro.tune.frontier import (
@@ -34,7 +36,7 @@ from repro.tune.frontier import (
     pareto_front,
 )
 from repro.tune.search import (
-    DEFAULT_BATCH_SIZE,
+    BATCH_SIZE,
     replay_point,
     tune_benchmark,
     tune_many,
@@ -47,8 +49,8 @@ from repro.tune.space import (
 )
 
 __all__ = [
+    "BATCH_SIZE",
     "BLOCK_LUT_EQUIV",
-    "DEFAULT_BATCH_SIZE",
     "DEFAULT_TUNE_CYCLES",
     "DEFAULT_TUNE_FREQUENCY_MHZ",
     "OBJECTIVES",
@@ -58,7 +60,7 @@ __all__ = [
     "TuneSpace",
     "area_cost",
     "baseline_candidate",
-    "build_tune_pipeline",
+    "candidate_fitness",
     "default_space",
     "dominates",
     "load_frontier",

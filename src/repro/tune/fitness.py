@@ -1,17 +1,14 @@
-"""Candidate fitness: the tuner's three-stage evaluation pipeline.
+"""Candidate fitness: score one mapped tuner candidate.
 
-``parse`` → ``tune-map`` → ``tune-fitness``, all registered in
-:data:`repro.pipeline.stages.STAGE_VERSIONS` and served by the same
-content-addressed artifact cache as the Fig. 6 flow.  The ``parse``
-stage is literally the evaluation flow's — one benchmark's FSM artifact
-is shared between ``romfsm eval`` runs and every tuner candidate.
-
-Fitness memoisation *is* the ``tune-fitness`` cache entry: its cache
-key commits to the ``tune-map`` artifact fingerprint, so two candidates
-that collapse onto the same implementation (e.g. ``aspect=None`` and
-pinning the aspect the heuristic would have chosen anyway) share one
-simulation.  The fitness value itself is a JSON-safe dict so frontier
-artifacts round-trip bit-exactly through ``json``.
+:func:`candidate_fitness` simulates an implementation on the shared
+seeded stimulus, checks it against the reference FSM simulation, and
+returns its objectives as a JSON-safe dict, so frontier artifacts
+round-trip bit-exactly through ``json``.  It is a plain function: the
+search (:mod:`repro.tune.search`) maps each candidate itself and
+memoises the fitness in a small sidecar cache entry keyed by the
+implementation fingerprint, so two candidates that collapse onto the
+same implementation (e.g. ``aspect=None`` and pinning the aspect the
+heuristic would have chosen anyway) share one simulation.
 
 Objectives (all to be minimised):
 
@@ -34,19 +31,16 @@ dominated never changes the frontier (proof sketch in
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional
 
 from repro.arch.device import get_device
 from repro.arch.timing import TimingReport
+from repro.fsm.machine import FSM
 from repro.fsm.simulate import FsmSimulator, random_stimulus
-from repro.pipeline.pipeline import Pipeline
-from repro.pipeline.stage import StageContext
-from repro.pipeline.stages import make_stage, _stage_parse
 from repro.power.activity import extract_rom_activity
 from repro.power.estimator import estimate_rom_power
 from repro.power.params import PowerParams, VIRTEX2_PARAMS
 from repro.romfsm.impl import RomFsmImplementation
-from repro.romfsm.mapper import map_fsm_to_rom
 
 __all__ = [
     "BLOCK_LUT_EQUIV",
@@ -54,10 +48,9 @@ __all__ = [
     "DEFAULT_TUNE_FREQUENCY_MHZ",
     "ImplBounds",
     "area_cost",
-    "build_tune_pipeline",
+    "candidate_fitness",
     "candidate_timing",
     "power_lower_bound",
-    "tune_config",
 ]
 
 # One embedded block costs this many LUT-equivalents in the area
@@ -80,10 +73,11 @@ class ImplBounds:
     """The slice of a mapped candidate the search's bounds need.
 
     A handful of integers — everything :func:`power_lower_bound`, the
-    area objective, and the timing model consume.  Small enough to park
-    in the artifact cache next to the heavyweight ``tune-map`` entry,
-    so a warm search reconstructs its Phase-1 bounds without mapping
-    (or even loading) a single implementation.
+    area objective, and the timing model consume — plus the
+    implementation fingerprint the search dedupes on.  Small enough to
+    park in the artifact cache as the ``tune-bounds`` sidecar entry, so
+    a warm search reconstructs its Phase-1 bounds without mapping a
+    single candidate.
     """
 
     impl_fingerprint: str
@@ -225,45 +219,25 @@ def power_lower_bound(
     )
 
 
-# ---------------------------------------------------------------------------
-# Stages
-# ---------------------------------------------------------------------------
-
-
-def _stage_tune_map(ctx: StageContext) -> RomFsmImplementation:
-    """Map one fingerprinted tuner candidate (clock control included —
-    unlike the eval flow's rom-map/rom-cc split, clock control is a
-    candidate knob here, part of this stage's cache key)."""
-    fsm = ctx.value("parse")
-    return map_fsm_to_rom(
-        fsm,
-        clock_control=bool(ctx.cfg("clock_control", False)),
-        moore_outputs=ctx.cfg("moore_outputs") or "auto",
-        backend=ctx.cfg("backend"),
-        encoding=ctx.cfg("rom_encoding"),
-        force_compaction=bool(ctx.cfg("force_compaction", False)),
-        aspect=ctx.cfg("aspect"),
-        k=ctx.cfg("lut_k", 4),
-    )
-
-
-def _stage_tune_fitness(ctx: StageContext) -> Dict[str, Any]:
-    """Score one mapped candidate on the shared stimulus.
+def candidate_fitness(
+    fsm: FSM,
+    impl: RomFsmImplementation,
+    num_cycles: int = DEFAULT_TUNE_CYCLES,
+    seed: int = 2004,
+    frequency_mhz: float = DEFAULT_TUNE_FREQUENCY_MHZ,
+    verify: bool = True,
+) -> Dict[str, Any]:
+    """Score one mapped candidate of ``fsm`` on the shared stimulus.
 
     Returns a JSON-safe dict — the frontier artifact embeds it verbatim
-    and replay compares float-exactly after a json round-trip.
+    and replay compares float-exactly after a json round-trip.  With
+    ``verify`` the candidate's output stream must match the reference
+    FSM simulation of the same stimulus.
     """
-    fsm = ctx.value("parse")
-    impl: RomFsmImplementation = ctx.value("tune-map")
-    num_cycles = ctx.cfg("num_cycles", DEFAULT_TUNE_CYCLES)
-    seed = ctx.cfg("seed", 2004)
-    frequency = float(ctx.cfg("frequency", DEFAULT_TUNE_FREQUENCY_MHZ))
-    params = ctx.cfg("params") or VIRTEX2_PARAMS
-    device = ctx.cfg("device") or get_device()
-
+    frequency = float(frequency_mhz)
     stimulus = random_stimulus(fsm.num_inputs, num_cycles, seed=seed)
     trace = impl.run(stimulus)
-    if ctx.cfg("verify", True):
+    if verify:
         reference = FsmSimulator(fsm).run(stimulus)
         if trace.output_stream != reference.outputs:
             raise AssertionError(
@@ -272,8 +246,10 @@ def _stage_tune_fitness(ctx: StageContext) -> Dict[str, Any]:
             )
 
     activity = extract_rom_activity(impl, trace)
-    power = estimate_rom_power(impl, activity, frequency, device, params)
-    timing = candidate_timing(impl, params)
+    power = estimate_rom_power(
+        impl, activity, frequency, get_device(), VIRTEX2_PARAMS
+    )
+    timing = candidate_timing(impl)
     return {
         "power_mw": power.total_mw,
         "components_mw": dict(sorted(power.components_mw.items())),
@@ -285,55 +261,3 @@ def _stage_tune_fitness(ctx: StageContext) -> Dict[str, Any]:
         "enable_duty": activity.enable_duty,
         "frequency_mhz": frequency,
     }
-
-
-def build_tune_pipeline() -> Pipeline:
-    """parse → tune-map → tune-fitness, all cache-served."""
-    return Pipeline([
-        make_stage("parse", _stage_parse, (),
-                   ("benchmark", "kiss", "name", "states", "reset")),
-        make_stage("tune-map", _stage_tune_map, ("parse",),
-                   ("moore_outputs", "backend", "rom_encoding",
-                    "force_compaction", "aspect", "lut_k", "clock_control")),
-        make_stage("tune-fitness", _stage_tune_fitness,
-                   ("parse", "tune-map"),
-                   ("num_cycles", "seed", "frequency", "device", "params",
-                    "verify")),
-    ])
-
-
-def tune_config(
-    name_or_kiss: Tuple[str, Optional[str]],
-    candidate_overrides: Dict[str, Any],
-    backend: str,
-    num_cycles: int = DEFAULT_TUNE_CYCLES,
-    seed: int = 2004,
-    frequency: float = DEFAULT_TUNE_FREQUENCY_MHZ,
-    verify: bool = True,
-    params: Optional[PowerParams] = None,
-    device=None,
-) -> Dict[str, Any]:
-    """Assemble the pipeline config for one candidate evaluation.
-
-    ``name_or_kiss`` is ``(benchmark_name, None)`` for a suite machine
-    or ``(fsm_name, kiss_text)`` for an ad-hoc one — mirroring
-    ``evaluation_config``'s cache-key conventions so the parse artifact
-    is shared with the eval flow.
-    """
-    name, kiss = name_or_kiss
-    config: Dict[str, Any] = {
-        "backend": backend,
-        "num_cycles": int(num_cycles),
-        "seed": int(seed),
-        "frequency": float(frequency),
-        "verify": bool(verify),
-        "params": params,
-        "device": device,
-    }
-    if kiss is None:
-        config["benchmark"] = name
-    else:
-        config["kiss"] = kiss
-        config["name"] = name
-    config.update(candidate_overrides)
-    return config

@@ -52,7 +52,7 @@ class FrontierPoint:
     candidate: TuneCandidate
     fitness: Dict[str, Any]
     # How many grid candidates collapsed onto this implementation
-    # (tune-map artifact dedupe); the stored candidate is the
+    # (implementation-fingerprint dedupe); the stored candidate is the
     # enumeration-first representative.
     group_size: int = 1
     impl_fingerprint: str = ""

@@ -4,7 +4,7 @@ Wall-clock scales with the *frontier*, not the grid, through three
 mechanisms applied in order:
 
 1. **Structural dedupe.** Every candidate is mapped (cheaply, in the
-   driver, reusing one parsed FSM) and grouped by the tune-map artifact
+   driver, reusing the caller's FSM) and grouped by its implementation
    fingerprint: candidates that collapse onto the same implementation —
    pinning the aspect the heuristic would pick anyway, forcing a
    compaction the policy already took — share one evaluation.  The
@@ -16,17 +16,20 @@ mechanisms applied in order:
    discarded unevaluated.  Structures are visited in ascending
    (floor, fingerprint) order so cheap likely-winners evaluate first
    and the archive prunes aggressively.
-3. **Fitness memoisation.** Each evaluation runs the cached fitness
-   pipeline (:mod:`repro.tune.fitness`); repeated searches — replays,
-   widened grids, the second half of an A/B bench — hit the
-   ``tune-fitness`` cache entry instead of simulating.
+3. **Fitness memoisation.** Each evaluation maps the candidate with the
+   same :func:`~repro.romfsm.mapper.map_fsm_to_rom` call Phase 1 made
+   and scores it with :func:`~repro.tune.fitness.candidate_fitness`;
+   the fitness is memoised in a sidecar cache entry keyed by the
+   implementation fingerprint, so repeated searches — widened grids,
+   the second half of an A/B bench — answer from one small read
+   instead of simulating.
 
 Evaluation batches dispatch onto :func:`repro.pipeline.driver.
 run_sharded` (forkserver start method, worker-crash retry), with a
-fixed batch size so the evaluated set — not just the frontier — is
-identical at any ``jobs`` count.  Pruning is *exact* (never changes the
-frontier versus brute force): see ``docs/architecture.md`` §15 for the
-dominance argument.
+fixed batch size (:data:`BATCH_SIZE`) so the evaluated set — not just
+the frontier — is identical at any ``jobs`` count.  Pruning is *exact*
+(never changes the frontier versus brute force): see
+``docs/architecture.md`` §15 for the dominance argument.
 """
 
 from __future__ import annotations
@@ -35,20 +38,17 @@ import time
 from typing import Any, Dict, List, Optional, Sequence, Tuple, Union
 
 from repro.arch.memblock import MemoryBlockModel, resolve_backend
-from repro.fsm.kiss import format_kiss
 from repro.fsm.machine import FSM, FsmError
 from repro.logutil import get_logger, kv
-from repro.pipeline.artifact import Artifact, fingerprint
+from repro.pipeline.artifact import fingerprint
 from repro.pipeline.cache import ArtifactCache, resolve_cache
 from repro.pipeline.driver import run_sharded
-from repro.pipeline.stages import STAGE_VERSIONS
 from repro.romfsm.mapper import MappingError, map_fsm_to_rom
 from repro.tune.fitness import (
     DEFAULT_TUNE_CYCLES,
     DEFAULT_TUNE_FREQUENCY_MHZ,
     ImplBounds,
-    build_tune_pipeline,
-    tune_config,
+    candidate_fitness,
 )
 from repro.tune.frontier import (
     FrontierPoint,
@@ -58,44 +58,46 @@ from repro.tune.frontier import (
 )
 from repro.tune.space import TuneCandidate, TuneSpace, baseline_candidate, default_space
 
-__all__ = ["tune_benchmark", "tune_many", "replay_point", "DEFAULT_BATCH_SIZE"]
+__all__ = ["tune_benchmark", "tune_many", "replay_point", "BATCH_SIZE"]
 
 logger = get_logger("tune.search")
 
 # Structures per run_sharded dispatch.  Fixed (not jobs-derived) so the
 # evaluated/pruned split is identical at any process count — part of
 # the determinism contract, not just a scheduling knob.
-DEFAULT_BATCH_SIZE = 8
+BATCH_SIZE = 8
+# Pool start method: forkserver workers never inherit the driver's heap
+# or sockets.  Crashed workers get run_sharded's default retry rounds.
+MP_CONTEXT = "forkserver"
 
-# The search parks two small sidecar entries in the artifact cache next
-# to each candidate's heavyweight tune-map/tune-fitness entries, both
-# addressed off the candidate's tune-map cache key (computed in-driver
-# from the parsed FSM's fingerprint — no pipeline run needed):
+# A search with a cache parks two small sidecar entries per candidate
+# in the artifact cache, both addressed off the target FSM's
+# fingerprint:
 #
-# * ``tune-bounds`` — the :class:`ImplBounds` integers (or an
-#   infeasibility marker), so a warm search rebuilds its Phase-1 bound
-#   vectors without mapping a single candidate;
-# * ``tune-point``  — the (impl fingerprint, fitness dict) pair, keyed
-#   additionally by the tune-fitness stage version and the evaluation
-#   settings, so a warm search's batches skip ``run_sharded`` outright
-#   instead of paying pool dispatch + unpickle for each cache hit.
+# * ``tune-bounds`` — keyed by the candidate and backend: the
+#   :class:`ImplBounds` integers (or an infeasibility marker), so a warm
+#   search rebuilds its Phase-1 bound vectors without mapping a single
+#   candidate;
+# * ``tune-point``  — keyed by the implementation fingerprint and the
+#   evaluation settings: the fitness dict, so a warm search's batches
+#   skip ``run_sharded`` outright, and candidates that collapse onto an
+#   implementation some earlier search evaluated share its fitness.
 #
 # Bump on any change to what the entries contain.
-_BOUNDS_SIDECAR_VERSION = "1"
-_POINT_SIDECAR_VERSION = "1"
+_BOUNDS_SIDECAR_VERSION = "2"
+_POINT_SIDECAR_VERSION = "2"
 
 
-def _bounds_key(map_key: str) -> str:
-    return fingerprint(("tune-bounds", _BOUNDS_SIDECAR_VERSION, map_key))
-
-
-def _point_key(map_key: str, settings: Dict[str, Any]) -> str:
+def _bounds_key(fsm_fp: str, candidate: TuneCandidate, backend: str) -> str:
     return fingerprint((
-        "tune-point", _POINT_SIDECAR_VERSION, map_key,
-        STAGE_VERSIONS["tune-fitness"],
-        (settings["num_cycles"], settings["seed"],
-         settings["frequency_mhz"], settings["verify"]),
+        "tune-bounds", _BOUNDS_SIDECAR_VERSION, fsm_fp, candidate, backend,
     ))
+
+
+def _point_key(fsm_fp: str, impl_fp: str, settings: Dict[str, Any]) -> str:
+    return fingerprint(
+        ("tune-point", _POINT_SIDECAR_VERSION, fsm_fp, impl_fp, settings)
+    )
 
 
 class _Structure:
@@ -103,18 +105,17 @@ class _Structure:
 
     __slots__ = (
         "candidate", "impl_fingerprint", "group_size",
-        "lb_power", "area", "delay_ns", "map_key",
+        "lb_power", "area", "delay_ns",
     )
 
     def __init__(self, candidate, impl_fingerprint, group_size,
-                 lb_power, area, delay_ns, map_key):
+                 lb_power, area, delay_ns):
         self.candidate = candidate
         self.impl_fingerprint = impl_fingerprint
         self.group_size = group_size
         self.lb_power = lb_power
         self.area = area
         self.delay_ns = delay_ns
-        self.map_key = map_key
 
     @property
     def bound(self) -> Tuple[float, float, float]:
@@ -134,32 +135,21 @@ def _bound_pruned(structure: _Structure, archive: List[Tuple[float, ...]]) -> bo
     return any(dominates(point, structure.bound) for point in archive)
 
 
-def _resolve_target(name_or_fsm: Union[str, FSM]) -> Tuple[Tuple[str, Optional[str]], FSM, str]:
-    """(cache-key form, parsed FSM, display name) for the target."""
+def _resolve_target(name_or_fsm: Union[str, FSM]) -> Tuple[FSM, str]:
+    """(FSM, display name) for the target; an FSM object is used as is."""
     if isinstance(name_or_fsm, str):
         from repro.bench.suite import load_benchmark
 
-        fsm = load_benchmark(name_or_fsm)
-        return (name_or_fsm, None), fsm, name_or_fsm
-    return (name_or_fsm.name, format_kiss(name_or_fsm)), name_or_fsm, name_or_fsm.name
+        return load_benchmark(name_or_fsm), name_or_fsm
+    return name_or_fsm, name_or_fsm.name
 
 
-def _eval_shard(item) -> Tuple[str, Dict[str, Any], int, int]:
-    """Pool worker: evaluate one structure through the cached pipeline.
-
-    Returns (impl fingerprint, fitness dict, tune-fitness cache hits,
-    total stage cache hits).  Must stay module-level picklable.
-    """
-    config, cache_path = item
-    outcome = build_tune_pipeline().run(config, cache=resolve_cache(cache_path))
-    fitness = outcome.value("tune-fitness")
-    fitness_hits = sum(
-        1 for r in outcome.report.records
-        if r.stage == "tune-fitness" and r.cache_hit
-    )
-    total_hits = sum(1 for r in outcome.report.records if r.cache_hit)
-    impl_fp = outcome.artifacts["tune-map"].fingerprint
-    return impl_fp, fitness, fitness_hits, total_hits
+def _eval_shard(item) -> Dict[str, Any]:
+    """Pool worker: map one candidate and score it; returns the fitness
+    dict.  Must stay module-level picklable."""
+    fsm, candidate, backend, settings = item
+    impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs(), backend=backend)
+    return candidate_fitness(fsm, impl, **settings)
 
 
 def tune_benchmark(
@@ -173,9 +163,6 @@ def tune_benchmark(
     frequency_mhz: float = DEFAULT_TUNE_FREQUENCY_MHZ,
     verify: bool = True,
     prune: bool = True,
-    batch_size: int = DEFAULT_BATCH_SIZE,
-    max_retries: int = 2,
-    mp_context: Optional[str] = "forkserver",
 ) -> TuneResult:
     """Search the mapper-configuration space of one benchmark.
 
@@ -189,7 +176,7 @@ def tune_benchmark(
     against).
     """
     start = time.perf_counter()
-    key_form, fsm, display = _resolve_target(name_or_fsm)
+    fsm, display = _resolve_target(name_or_fsm)
     backend_model = resolve_backend(backend)
     if space is None:
         space = default_space(fsm, backend_model)
@@ -203,7 +190,6 @@ def tune_benchmark(
     }
 
     resolved_cache = resolve_cache(cache)
-    cache_path = str(resolved_cache.root) if resolved_cache is not None else False
 
     # Duty floor for clock-controlled candidates: a stopped cycle must
     # be a state hold, so the enable duty can never drop under one
@@ -220,24 +206,18 @@ def tune_benchmark(
     )
 
     # ---- Phase 1: static mapping, dedupe, exact bounds (in-driver) ----
-    # The driver computes each candidate's tune-map cache key itself
-    # (same parse fingerprint + config slice the pipeline would hash),
-    # which addresses the two sidecar entries: with a warm cache this
-    # whole phase is key hashes and small reads — zero mappings.
-    map_stage = build_tune_pipeline().stage("tune-map")
-    parse_fp = fingerprint(fsm)
+    # With a warm cache this whole phase is key hashes and small
+    # sidecar reads — zero mappings.
+    fsm_fp = fingerprint(fsm) if resolved_cache is not None else ""
     structures: Dict[str, _Structure] = {}
     infeasible = 0
     bounds_hits = 0
     baseline = baseline_candidate()
     for candidate in [baseline] + candidates:
-        map_key = map_stage.cache_key(
-            {"parse": parse_fp},
-            {**candidate.config_overrides(), "backend": backend_model.name},
-        )
         bounds: Optional[ImplBounds] = None
         if resolved_cache is not None:
-            loaded = resolved_cache.get(_bounds_key(map_key))
+            bounds_key = _bounds_key(fsm_fp, candidate, backend_model.name)
+            loaded = resolved_cache.get(bounds_key)
             if loaded is not None:
                 data = loaded[1]
                 bounds_hits += 1
@@ -253,16 +233,12 @@ def tune_benchmark(
                 infeasible += 1
                 if resolved_cache is not None:
                     marker = {"infeasible": True}
-                    resolved_cache.put(
-                        _bounds_key(map_key), fingerprint(marker), marker
-                    )
+                    resolved_cache.put(bounds_key, fingerprint(marker), marker)
                 continue
-            bounds = ImplBounds.of(impl, Artifact.of(impl).fingerprint)
+            bounds = ImplBounds.of(impl, fingerprint(impl))
             if resolved_cache is not None:
                 data = bounds.as_dict()
-                resolved_cache.put(
-                    _bounds_key(map_key), fingerprint(data), data
-                )
+                resolved_cache.put(bounds_key, fingerprint(data), data)
         impl_fp = bounds.impl_fingerprint
         known = structures.get(impl_fp)
         if known is not None:
@@ -278,7 +254,6 @@ def tune_benchmark(
             ),
             area=float(bounds.area),
             delay_ns=bounds.timing(backend_model).critical_path_ns,
-            map_key=map_key,
         )
     baseline_fp = None
     base_struct = None
@@ -297,70 +272,48 @@ def tune_benchmark(
         key=lambda s: (s.lb_power, s.impl_fingerprint),
     )
 
-    def make_item(s: _Structure):
-        config = tune_config(
-            key_form, s.candidate.config_overrides(),
-            backend=backend_model.name,
-            num_cycles=settings["num_cycles"],
-            seed=settings["seed"],
-            frequency=settings["frequency_mhz"],
-            verify=settings["verify"],
-        )
-        return (config, cache_path)
-
     evaluated: List[FrontierPoint] = []
     archive: List[Tuple[float, ...]] = []
     fitness_hits = 0
-    stage_hits = 0
-    stage_runs = 0
     pruned = 0
 
     def run_batch(batch: List[_Structure]) -> None:
-        nonlocal fitness_hits, stage_hits, stage_runs
-        # Sidecar memo first: a previously evaluated candidate's
-        # (impl fingerprint, fitness) pair answers from one small read,
-        # skipping pool dispatch entirely.  Misses evaluate through
-        # run_sharded; points append in the batch's original order so
-        # the evaluated sequence is identical hot or cold.
-        scored: Dict[str, Tuple[str, Dict[str, Any]]] = {}
+        nonlocal fitness_hits
+        # Sidecar memo first: a previously evaluated implementation's
+        # fitness answers from one small read, skipping pool dispatch
+        # entirely.  Misses evaluate through run_sharded; points append
+        # in the batch's original order so the evaluated sequence is
+        # identical hot or cold.
+        scored: Dict[str, Dict[str, Any]] = {}
         misses: List[_Structure] = []
         for s in batch:
-            data = None
             if resolved_cache is not None:
                 loaded = resolved_cache.get(
-                    _point_key(s.map_key, settings)
+                    _point_key(fsm_fp, s.impl_fingerprint, settings)
                 )
                 if loaded is not None:
-                    data = loaded[1]
-            if data is not None:
-                scored[s.impl_fingerprint] = (data["impl_fp"], data["fitness"])
-                fitness_hits += 1
-            else:
-                misses.append(s)
+                    scored[s.impl_fingerprint] = loaded[1]
+                    fitness_hits += 1
+                    continue
+            misses.append(s)
         if misses:
-            items = [make_item(s) for s in misses]
+            items = [(fsm, s.candidate, backend_model, settings) for s in misses]
             results = run_sharded(
-                _eval_shard, items, jobs=jobs, max_retries=max_retries,
-                mp_context=mp_context,
+                _eval_shard, items, jobs=jobs, mp_context=MP_CONTEXT
             )
-            for s, (impl_fp, fitness, f_hits, t_hits) in zip(misses, results):
-                scored[s.impl_fingerprint] = (impl_fp, fitness)
-                fitness_hits += f_hits
-                stage_hits += t_hits
-                stage_runs += 3
+            for s, fitness in zip(misses, results):
+                scored[s.impl_fingerprint] = fitness
                 if resolved_cache is not None:
-                    data = {"impl_fp": impl_fp, "fitness": fitness}
                     resolved_cache.put(
-                        _point_key(s.map_key, settings),
-                        fingerprint(data), data,
+                        _point_key(fsm_fp, s.impl_fingerprint, settings),
+                        fingerprint(fitness), fitness,
                     )
         for s in batch:
-            impl_fp, fitness = scored[s.impl_fingerprint]
             point = FrontierPoint(
                 candidate=s.candidate,
-                fitness=fitness,
+                fitness=scored[s.impl_fingerprint],
                 group_size=s.group_size,
-                impl_fingerprint=impl_fp,
+                impl_fingerprint=s.impl_fingerprint,
             )
             evaluated.append(point)
             archive.append(point.objectives)
@@ -390,7 +343,7 @@ def tune_benchmark(
             pending = keep
         if not pending:
             break
-        batch, pending = pending[:batch_size], pending[batch_size:]
+        batch, pending = pending[:BATCH_SIZE], pending[BATCH_SIZE:]
         run_batch(batch)
 
     frontier = pareto_front(evaluated)
@@ -404,8 +357,6 @@ def tune_benchmark(
         "evaluated": len(evaluated),
         "fitness_cache_hits": fitness_hits,
         "bounds_cache_hits": bounds_hits,
-        "stage_cache_hits": stage_hits,
-        "stage_runs": stage_runs,
         "wall_seconds": round(wall, 6),
         "candidates_per_sec": round(len(candidates) / wall, 3) if wall > 0 else 0.0,
         "jobs": max(1, jobs),
@@ -448,27 +399,21 @@ def replay_point(
     point: FrontierPoint,
     benchmark: Union[str, FSM],
     backend: Union[None, str, MemoryBlockModel] = None,
-    cache: Union[None, bool, str, ArtifactCache] = None,
     **settings,
 ) -> Dict[str, Any]:
-    """Re-evaluate one frontier point; returns the fresh fitness dict.
+    """Re-map and re-simulate one frontier point; returns the fresh
+    fitness dict.
 
     With the settings stored in the frontier artifact, the result is
     bit-identical to ``point.fitness`` (the replayability guarantee the
-    determinism suite asserts).
+    determinism suite asserts).  No cache is read or written.
     """
-    key_form, _, _ = _resolve_target(benchmark)
-    config = tune_config(
-        key_form, point.candidate.config_overrides(),
-        backend=resolve_backend(backend).name,
-        num_cycles=settings.get("num_cycles", DEFAULT_TUNE_CYCLES),
-        seed=settings.get("seed", 2004),
-        frequency=settings.get(
-            "frequency_mhz", settings.get("frequency", DEFAULT_TUNE_FREQUENCY_MHZ)
+    fsm, _ = _resolve_target(benchmark)
+    return _eval_shard((fsm, point.candidate, resolve_backend(backend), {
+        "num_cycles": int(settings.get("num_cycles", DEFAULT_TUNE_CYCLES)),
+        "seed": int(settings.get("seed", 2004)),
+        "frequency_mhz": float(
+            settings.get("frequency_mhz", DEFAULT_TUNE_FREQUENCY_MHZ)
         ),
-        verify=settings.get("verify", True),
-    )
-    resolved = resolve_cache(cache)
-    cache_path = str(resolved.root) if resolved is not None else False
-    _, fitness, _, _ = _eval_shard((config, cache_path))
-    return fitness
+        "verify": bool(settings.get("verify", True)),
+    }))

@@ -1,9 +1,9 @@
 """Fingerprints are computed only where something reads them.
 
 A run without a cache keys nothing, so it must take no content
-fingerprint at all; the consumers that do read one (tune's structural
-dedupe, ECO's ``rom-map``/``eco-patch`` identities, a record's
-``fingerprint``) must see exactly the value a cached run produces.
+fingerprint at all; the consumers that do read one (ECO's
+``rom-map``/``eco-patch`` identities, a record's ``fingerprint``) must
+see exactly the value a cached run produces.
 """
 
 import pickle
@@ -18,7 +18,6 @@ from repro.flows.flow import evaluate_benchmark_detailed
 from repro.pipeline.artifact import Artifact, fingerprint
 from repro.pipeline.cache import ArtifactCache
 from repro.pipeline.pipeline import StageRecord
-from repro.tune.fitness import build_tune_pipeline, tune_config
 from tests.flows.test_eco import BENCH, SMALL, one_edit
 
 KW = dict(num_cycles=150, seed=11)
@@ -65,18 +64,6 @@ class TestConsumersSeeCachedValues:
         assert [r.fingerprint for r in plain.records] == \
             [r.fingerprint for r in cached.records]
         assert all(r.key for r in cached.records)
-
-    def test_tune_map_fingerprint(self, tmp_path):
-        config = tune_config(("dk14", None), {"clock_control": True},
-                             "virtex2-bram", num_cycles=100)
-        plain = build_tune_pipeline().run(config)
-        cold = build_tune_pipeline().run(config, cache=ArtifactCache(tmp_path))
-        warm = build_tune_pipeline().run(config, cache=ArtifactCache(tmp_path))
-        fp = plain.artifacts["tune-map"].fingerprint
-        assert fp == fingerprint(plain.value("tune-map"))
-        assert fp == cold.artifacts["tune-map"].fingerprint
-        assert fp == warm.artifacts["tune-map"].fingerprint
-        assert warm.report.hits == 3
 
     def test_eco_fingerprints(self, tmp_path):
         edits = one_edit(load_benchmark(BENCH))

@@ -6,13 +6,14 @@ Per benchmark, four measured phases (one process, one report):
 1. **cold** — full tuned search (dedupe + exact bound pruning) against
    a fresh artifact cache;
 2. **warm** — the same search again: every fitness evaluation should be
-   a ``tune-fitness`` cache hit, and ``simulations`` (FF-netlist and ROM
+   a ``tune-point`` sidecar hit, and ``simulations`` (FF-netlist and ROM
    runs counted in process) should be zero;
 3. **naive** — the no-cache / no-prune / no-dedupe reference: each grid
    candidate simulated individually (a sample, rate-extrapolated), the
    baseline the tuned path's candidates/sec is compared against;
-4. **replay** — the frontier's best-power point re-evaluated from the
-   stored artifact; must match bit-for-bit.
+4. **replay** — the frontier's best-power point re-mapped and
+   re-simulated (no cache) with the stored artifact's settings; must
+   match bit-for-bit.
 
 The headline number is ``speedup_vs_naive`` (warm tuned candidates/sec
 over naive candidates/sec); CI asserts it stays ≥ 10×.  A second tuned
@@ -43,16 +44,16 @@ sys.path.insert(0, str(REPO_ROOT / "src"))
 
 from repro.tune import (  # noqa: E402
     baseline_candidate,
-    build_tune_pipeline,
+    candidate_fitness,
     default_space,
     replay_point,
     tune_benchmark,
 )
-from repro.tune.fitness import tune_config  # noqa: E402
 from repro.arch.memblock import resolve_backend  # noqa: E402
 from repro.bench.suite import load_benchmark  # noqa: E402
 from repro.fsm.memo import clear_fsm_memo  # noqa: E402
 from repro.romfsm.impl import RomFsmImplementation  # noqa: E402
+from repro.romfsm.mapper import map_fsm_to_rom  # noqa: E402
 from repro.synth import netsim  # noqa: E402
 
 
@@ -136,15 +137,11 @@ def naive_round(name, backend, cycles, seed, limit):
         sample = candidates[::step][:limit]
     else:
         sample = candidates
-    pipeline = build_tune_pipeline()
     start = time.perf_counter()
     for candidate in sample:
         clear_fsm_memo()
-        config = tune_config(
-            (name, None), candidate.config_overrides(),
-            backend=model.name, num_cycles=cycles, seed=seed,
-        )
-        pipeline.run(config, cache=None)
+        impl = map_fsm_to_rom(fsm, **candidate.mapper_kwargs(), backend=model)
+        candidate_fitness(fsm, impl, num_cycles=cycles, seed=seed)
     wall = time.perf_counter() - start
     return {
         "wall_s": round(wall, 6),
@@ -198,11 +195,12 @@ def main(argv=None) -> int:
                 entry["cold"]["candidates_per_sec"] / naive_cps, 3
             ) if naive_cps else None
 
-            # Replayability: the stored best-power point re-evaluates
-            # bit-identically from the frontier artifact's settings.
+            # Replayability: the stored best-power point re-maps and
+            # re-simulates bit-identically from the frontier artifact's
+            # settings.
             fresh = replay_point(
                 result.best_power, name, backend="virtex2-bram",
-                cache=cache_dir, **result.settings,
+                **result.settings,
             )
             entry["replay_ok"] = fresh == result.best_power.fitness
 
