@@ -25,8 +25,8 @@ import queue
 import socket
 import threading
 import time
-from dataclasses import dataclass, field
-from typing import Any, Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Any, Dict, List, Optional, Tuple, Union
 
 from repro import faults
 from repro.cachenet import protocol
@@ -135,13 +135,12 @@ class CacheBackendClient:
 
     def __init__(self, host: str, port: int,
                  timeout_s: float = DEFAULT_TIMEOUT_S,
-                 secret: Optional[bytes] = None):
+                 secret: Union[None, str, bytes] = None):
         self.host = host
         self.port = port
         self.timeout_s = timeout_s
         self.name = f"{host}:{port}"
-        self._secret = (protocol.resolve_secret() if secret is None
-                        else secret)
+        self._secret = protocol.resolve_secret(secret)
 
     def request(self, op: str, payload: bytes) -> bytes:
         """One framed round trip; raises OSError/ProtocolError on failure."""
@@ -227,14 +226,16 @@ class ShardedCacheClient:
         breaker_threshold: int = BREAKER_THRESHOLD,
         breaker_cooldown_s: float = BREAKER_COOLDOWN_S,
         queue_max: int = WRITE_QUEUE_MAX,
-        secret: Optional[bytes] = None,
+        secret: Union[None, str, bytes] = None,
     ):
         if not peers:
             raise ValueError("a sharded cache client needs at least one peer")
+        self.peers = list(peers)
+        self.secret = protocol.resolve_secret(secret)
         self.backends: Dict[str, CacheBackendClient] = {}
         for host, port in peers:
             backend = CacheBackendClient(host, port, timeout_s=timeout_s,
-                                         secret=secret)
+                                         secret=self.secret)
             self.backends[backend.name] = backend
         self.ring = HashRing(list(self.backends))
         self.breakers: Dict[str, CircuitBreaker] = {
@@ -423,28 +424,31 @@ class ShardedCacheClient:
         return f"ShardedCacheClient(backends={sorted(self.backends)!r})"
 
 
-# One tier client per peer set per process.  resolve_cache() runs once
-# per job in pool workers; without memoization every job would spin up
-# its own write-behind thread and breaker state (and never close them).
-# The memo is pid-stamped: a fork child inherits the dict, but its
-# clients' drain threads died with the fork, so the child starts over.
+# One tier client per peer set and secret per process.  A pool worker
+# unpickles a tiered cache once per job; without memoization every job
+# would spin up its own write-behind thread and breaker state (and never
+# close them).  The memo is pid-stamped: a fork child inherits the dict,
+# but its clients' drain threads died with the fork, so the child starts
+# over.
 _shared_lock = threading.Lock()
-_shared_clients: Dict[Tuple[Tuple[str, int], ...], ShardedCacheClient] = {}
+_shared_clients: Dict[Tuple[Any, ...], ShardedCacheClient] = {}
 _shared_pid = os.getpid()
 
 
 def shared_client(
-    peers: List[Tuple[str, int]], **kwargs: Any
+    peers: List[Tuple[str, int]], secret: Union[None, str, bytes] = None,
+    **kwargs: Any
 ) -> ShardedCacheClient:
     """The process-wide :class:`ShardedCacheClient` for ``peers``."""
     global _shared_pid
-    key = tuple(peers)
+    secret = protocol.resolve_secret(secret)
+    key = (tuple(peers), secret)
     with _shared_lock:
         if _shared_pid != os.getpid():
             _shared_clients.clear()
             _shared_pid = os.getpid()
         client = _shared_clients.get(key)
         if client is None or client._closed:
-            client = ShardedCacheClient(list(peers), **kwargs)
+            client = ShardedCacheClient(list(peers), secret=secret, **kwargs)
             _shared_clients[key] = client
         return client

@@ -1,11 +1,15 @@
 """L2Cache: the cache tier slotted behind ``ArtifactCache.get/put``.
 
-``resolve_cache(..., peers=...)`` (or the ``REPRO_CACHE_PEERS``
-environment variable) wraps the resolved local disk cache in this
-adapter, so every existing call site — pipeline stages, the sharded
-driver, the service, tuning, the ECO path — gains the shared tier with
-no signature or call-site changes: an :class:`L2Cache` *is an*
-:class:`~repro.pipeline.cache.ArtifactCache` to its callers.
+``resolve_cache(..., peers=..., secret=...)`` wraps the resolved local
+disk cache in this adapter (the ``romfsm`` CLI fills those arguments
+from ``REPRO_CACHE_PEERS`` / ``REPRO_CACHE_SECRET`` or ``--cache-peers``),
+so every existing call site — pipeline stages, the sharded driver, the
+service, tuning, the ECO path — gains the shared tier with no signature
+or call-site changes: an :class:`L2Cache` *is an*
+:class:`~repro.pipeline.cache.ArtifactCache` to its callers.  It
+pickles as its spec (local root, peers, secret), so a pool worker that
+is handed the cache rebuilds it on the worker's process-shared tier
+client and joins the same tier.
 
 Semantics:
 
@@ -30,8 +34,8 @@ Trust boundary: a remote hit is ultimately ``pickle.loads``-ed (inside
 ``_decode``), and the envelope CRC proves integrity, not provenance —
 a malicious or compromised backend could ship a pickle that executes
 code on this client.  The tier must therefore only ever span fully
-trusted, mutually administered machines on a private network; set
-``REPRO_CACHE_SECRET`` on every peer to additionally require an
+trusted, mutually administered machines on a private network; give
+every peer the same ``secret`` to additionally require an
 HMAC-SHA256 tag on each frame, which shuts out spoofed or unauthorized
 peers entirely (see :mod:`repro.cachenet.protocol`).
 """
@@ -40,7 +44,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Dict, Optional, Tuple
+from typing import Any, Dict, Optional, Tuple, Union
 
 from repro.cachenet.client import ShardedCacheClient, shared_client
 from repro.logutil import get_logger, kv
@@ -88,13 +92,19 @@ class L2Cache(ArtifactCache):
 
     @classmethod
     def from_spec(cls, local: ArtifactCache, spec: str,
+                  secret: Union[None, str, bytes] = None,
                   **kwargs: Any) -> "L2Cache":
         """Wrap ``local`` with the process-shared tier client for
         ``spec`` — every resolve of the same peer set reuses one
         write-behind queue and one set of breakers."""
         from repro.cachenet.protocol import parse_peer_spec
 
-        return cls(local, shared_client(parse_peer_spec(spec), **kwargs))
+        return cls(local, shared_client(parse_peer_spec(spec), secret=secret,
+                                        **kwargs))
+
+    def __reduce__(self):
+        spec = ",".join(f"{host}:{port}" for host, port in self.remote.peers)
+        return (L2Cache.from_spec, (self.local, spec, self.remote.secret))
 
     # -- delegated identity --------------------------------------------
 

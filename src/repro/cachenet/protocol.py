@@ -21,9 +21,10 @@ caught.
 Trust boundary: CRC32 is an integrity check, not authentication.  The
 final consumer of a cache entry unpickles it, so every tier peer can
 execute code on every tier client — backends and clients must trust
-each other completely (same admin, private network).  When the
-``REPRO_CACHE_SECRET`` environment variable (or an explicit ``secret``)
-is set, every frame payload additionally carries an HMAC-SHA256 tag
+each other completely (same admin, private network).  When a
+``secret`` is given (the ``romfsm`` CLI takes it from
+``REPRO_CACHE_SECRET``), every frame payload additionally carries an
+HMAC-SHA256 tag
 (:func:`wrap_auth` / :func:`unwrap_auth`): a peer that does not hold
 the shared secret cannot get its bytes past :func:`unwrap_auth`, so
 nothing it sends is ever CRC-checked, stored, or unpickled.  Secrets
@@ -40,12 +41,10 @@ from __future__ import annotations
 
 import hashlib
 import hmac
-import os
 import socket
 from typing import List, Optional, Tuple, Union
 
 __all__ = [
-    "CACHE_SECRET_ENV",
     "DEFAULT_CACHED_PORT",
     "MAX_FRAME_BYTES",
     "ProtocolError",
@@ -58,10 +57,6 @@ __all__ = [
     "unwrap_auth",
     "wrap_auth",
 ]
-
-# Shared-secret HMAC for the tier protocol; unset means unauthenticated
-# (trusted-network mode).
-CACHE_SECRET_ENV = "REPRO_CACHE_SECRET"
 
 DEFAULT_CACHED_PORT = 8377
 # Pipeline artifacts are at most a few MiB of pickled words; 64 MiB is
@@ -83,13 +78,12 @@ _AUTH_HEADER_LEN = len(_AUTH_MAGIC) + _MAC_LEN
 def resolve_secret(
     secret: Union[None, str, bytes] = None
 ) -> Optional[bytes]:
-    """The tier shared secret: an explicit value, else the environment.
+    """The tier shared secret as bytes.
 
-    Returns ``None`` (unauthenticated mode) when neither is set.
+    Returns ``None`` (unauthenticated, trusted-network mode) when no
+    secret is given.
     """
-    if secret is None:
-        secret = os.environ.get(CACHE_SECRET_ENV) or None
-    if secret is None:
+    if not secret:
         return None
     return secret.encode("utf-8") if isinstance(secret, str) else secret
 

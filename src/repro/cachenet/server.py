@@ -24,7 +24,7 @@ import asyncio
 import json
 import signal
 import threading
-from typing import Any, Dict, Optional
+from typing import Any, Dict, Optional, Union
 
 from repro import faults
 from repro.cachenet import protocol
@@ -44,14 +44,13 @@ class CacheServer:
         cache: ArtifactCache,
         host: str = "127.0.0.1",
         port: int = protocol.DEFAULT_CACHED_PORT,
-        secret: Optional[bytes] = None,
+        secret: Union[None, str, bytes] = None,
     ):
         self.cache = cache
         self.host = host
         self.port: Optional[int] = None
         self._requested_port = port
-        self._secret = (protocol.resolve_secret() if secret is None
-                        else secret)
+        self._secret = protocol.resolve_secret(secret)
         self._server: Optional[asyncio.base_events.Server] = None
         # Created lazily inside the running loop: on Python 3.9 an
         # asyncio.Event binds the loop current at *construction*, and
@@ -232,7 +231,8 @@ class CacheServerHandle:
 
 
 async def run_cache_server(
-    cache: ArtifactCache, host: str, port: int, announce: bool = True
+    cache: ArtifactCache, host: str, port: int, announce: bool = True,
+    secret: Union[None, str, bytes] = None,
 ) -> None:
     """CLI entry: start, announce the bound port, serve until stopped.
 
@@ -240,7 +240,7 @@ async def run_cache_server(
     caller (the tests) must not have a handler bound to its transient
     stderr installed behind its back.
     """
-    server = CacheServer(cache, host=host, port=port)
+    server = CacheServer(cache, host=host, port=port, secret=secret)
     await server.start()
     server.install_signal_handlers()
     if announce:

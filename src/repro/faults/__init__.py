@@ -2,8 +2,9 @@
 
 See :mod:`repro.faults.plan` for the plan/rule model and
 :mod:`repro.faults.runtime` for the failure-point catalogue and
-activation (``REPRO_FAULTS``, ``--faults``, or the :func:`injected`
-context manager).
+activation (:func:`install`, the :func:`injected` context manager, and
+:func:`adopt` in pool workers; the ``romfsm`` CLI installs ``--faults``
+/ ``REPRO_FAULTS``).
 """
 
 from repro.faults.plan import (
@@ -14,8 +15,8 @@ from repro.faults.plan import (
     FaultRule,
 )
 from repro.faults.runtime import (
-    FAULTS_ENV,
     active_plan,
+    adopt,
     corrupt_bytes,
     hit,
     injected,
@@ -25,12 +26,12 @@ from repro.faults.runtime import (
 
 __all__ = [
     "ACTION_KINDS",
-    "FAULTS_ENV",
     "FaultAction",
     "FaultInjected",
     "FaultPlan",
     "FaultRule",
     "active_plan",
+    "adopt",
     "corrupt_bytes",
     "hit",
     "injected",

@@ -190,11 +190,6 @@ class FaultPlan:
         with self._lock:
             self._states = [_RuleState() for _ in self.rules]
 
-    @property
-    def total_fires(self) -> int:
-        with self._lock:
-            return sum(state.fires for state in self._states)
-
     # -- serialization -------------------------------------------------
 
     def as_dict(self) -> Dict[str, Any]:

@@ -22,12 +22,13 @@ point                  where                                          honoured k
                        (``side="server"`` in the context)             kill, stall
 =====================  =============================================  ==================
 
-Activation, in precedence order: an installed plan
-(:func:`install` / the :func:`injected` context manager), else the
-``REPRO_FAULTS`` environment variable (inline JSON or a file path,
-parsed once per distinct value).  Pool workers are child processes, so
-the environment route reaches them on every start method, and the
-fork start method additionally inherits an installed plan.
+Activation: :func:`install` (or the :func:`injected` context manager
+in tests) makes a plan the process-wide active one; nothing here reads
+the environment — the ``romfsm`` CLI turns ``--faults`` /
+``REPRO_FAULTS`` into an installed plan.  Pool workers are handed the
+plan's JSON spec as an argument: the ``run_sharded`` pool initializer
+installs it in each fresh worker, and the service's executor target
+calls :func:`adopt` with it on every job.
 """
 
 from __future__ import annotations
@@ -35,14 +36,14 @@ from __future__ import annotations
 import os
 import time
 from contextlib import contextmanager
-from typing import Any, Optional, Tuple
+from typing import Any, Optional
 
 from repro.faults.plan import FaultAction, FaultInjected, FaultPlan
 from repro.logutil import get_logger, kv
 
 __all__ = [
-    "FAULTS_ENV",
     "active_plan",
+    "adopt",
     "corrupt_bytes",
     "hit",
     "injected",
@@ -50,65 +51,49 @@ __all__ = [
     "uninstall",
 ]
 
-FAULTS_ENV = "REPRO_FAULTS"
-
 logger = get_logger("faults")
 
 _installed: Optional[FaultPlan] = None
-_env_memo: Tuple[Optional[str], Optional[FaultPlan]] = (None, None)
+_installed_spec: Optional[str] = None
 
 
 def install(plan: Optional[FaultPlan]) -> None:
     """Make ``plan`` the process-wide active plan (``None`` clears it)."""
-    global _installed
+    global _installed, _installed_spec
     _installed = plan
+    _installed_spec = plan.to_json() if plan is not None else None
 
 
 def uninstall() -> None:
     install(None)
 
 
+def adopt(spec: Optional[str]) -> None:
+    """Install the plan ``spec`` serializes (``None`` clears), unless it
+    is already the active one.
+
+    A long-lived pool worker is handed the current plan with every job;
+    reinstalling only on a change keeps the worker's fire counters
+    running across jobs, while a new (or no) plan takes effect at once.
+    """
+    if (spec or None) != _installed_spec:
+        install(FaultPlan.from_spec(spec) if spec else None)
+
+
 def active_plan() -> Optional[FaultPlan]:
-    """The installed plan, else one parsed from ``REPRO_FAULTS``."""
-    if _installed is not None:
-        return _installed
-    global _env_memo
-    spec = os.environ.get(FAULTS_ENV)
-    if not spec:
-        return None
-    memo_spec, memo_plan = _env_memo
-    if spec != memo_spec:
-        try:
-            memo_plan = FaultPlan.from_spec(spec)
-        except ValueError as exc:
-            logger.warning(kv("faults_env_invalid", error=str(exc)))
-            memo_plan = None
-        _env_memo = (spec, memo_plan)
-    return memo_plan
+    """The installed plan, or ``None``."""
+    return _installed
 
 
 @contextmanager
-def injected(plan: FaultPlan, export_env: bool = True):
-    """Scope ``plan`` to a ``with`` block (the test-fixture activation).
-
-    ``export_env`` also publishes the plan through ``REPRO_FAULTS`` so
-    worker processes spawned inside the block pick it up regardless of
-    the multiprocessing start method.
-    """
+def injected(plan: FaultPlan):
+    """Scope ``plan`` to a ``with`` block (the test-fixture activation)."""
     previous = _installed
-    previous_env = os.environ.get(FAULTS_ENV)
     install(plan)
-    if export_env:
-        os.environ[FAULTS_ENV] = plan.to_json()
     try:
         yield plan
     finally:
         install(previous)
-        if export_env:
-            if previous_env is None:
-                os.environ.pop(FAULTS_ENV, None)
-            else:
-                os.environ[FAULTS_ENV] = previous_env
 
 
 def hit(point: str, **ctx: Any) -> Optional[FaultAction]:

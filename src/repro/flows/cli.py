@@ -25,12 +25,26 @@ Subcommands mirror the paper's artifacts::
     romfsm bench-stats                                  # suite statistics
     romfsm cache {stats,clear} [--cache-dir D]          # artifact cache
 
-The artifact cache is resolved from ``--cache-dir``, then the
-``REPRO_CACHE_DIR`` environment variable, and is otherwise off for
-``tables``/``eval`` (``cache`` falls back to ``~/.cache/romfsm``;
-``serve`` caches there by default so requests share one store).
-Logging verbosity comes from ``--log-level`` or ``$REPRO_LOG_LEVEL``
-(default WARNING, so normal output is unchanged).
+This module is the one place that reads the environment.  Five
+``REPRO_*`` variables are read once, when the parser is built, as the
+defaults of existing options:
+
+=======================  ==============================================
+``REPRO_CACHE_DIR``      ``--cache-dir``
+``REPRO_CACHE_PEERS``    ``serve --cache-peers``; the cache tier of
+                         ``tables``/``eval``/``tune``/``eco``
+``REPRO_CACHE_SECRET``   the tier's HMAC secret (no option)
+``REPRO_FAULTS``         ``--faults``
+``REPRO_LOG_LEVEL``      ``--log-level``
+=======================  ==============================================
+
+Everything below the CLI takes explicit values: the resolved cache
+object (tier included) and the installed fault plan travel down as
+arguments and cross into pool workers pickled.  The artifact cache is
+otherwise off for ``tables``/``eval`` (``cache`` falls back to
+``~/.cache/romfsm``; ``serve`` caches there by default so requests
+share one store).  Logging defaults to WARNING, so normal output is
+unchanged.
 
 User mistakes (missing file, unknown benchmark, unparseable KISS2)
 exit with a one-line ``romfsm: error: ...`` and status 2 — never a
@@ -40,9 +54,10 @@ traceback.
 from __future__ import annotations
 
 import argparse
+import os
 import sys
 from pathlib import Path
-from typing import List, Optional
+from typing import Dict, List, Optional
 
 from repro.arch.memblock import (
     UnknownBackendError,
@@ -62,7 +77,7 @@ from repro.flows.tables import (
 from repro.fsm.kiss import load_kiss_file, save_kiss_file
 from repro.fsm.machine import FSM, FsmError
 from repro.logutil import configure_logging, get_logger, kv
-from repro.pipeline.cache import DEFAULT_CACHE_DIR, resolve_cache
+from repro.pipeline.cache import resolve_cache
 from repro.power.report import format_table
 from repro.romfsm.mapper import map_fsm_to_rom
 from repro.romfsm.vhdl import rom_fsm_vhdl, rom_fsm_vhdl_structural
@@ -74,6 +89,14 @@ from repro.tune.fitness import (
 __all__ = ["main"]
 
 logger = get_logger("flows.cli")
+
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+CACHE_PEERS_ENV = "REPRO_CACHE_PEERS"
+CACHE_SECRET_ENV = "REPRO_CACHE_SECRET"
+FAULTS_ENV = "REPRO_FAULTS"
+LOG_LEVEL_ENV = "REPRO_LOG_LEVEL"
+SETTINGS_ENV = (CACHE_DIR_ENV, CACHE_PEERS_ENV, CACHE_SECRET_ENV,
+                FAULTS_ENV, LOG_LEVEL_ENV)
 
 
 class CliError(Exception):
@@ -119,20 +142,29 @@ def _resolve_backend_arg(args: argparse.Namespace) -> str:
         raise CliError(str(exc))
 
 
-def _add_cache_options(parser: argparse.ArgumentParser) -> None:
+def _read_settings() -> Dict[str, Optional[str]]:
+    """The ``REPRO_*`` settings, unset or empty ones as ``None``."""
+    return {name: os.environ.get(name) or None for name in SETTINGS_ENV}
+
+
+def _add_cache_options(parser: argparse.ArgumentParser,
+                       env: Dict[str, Optional[str]]) -> None:
     parser.add_argument(
-        "--cache-dir", metavar="DIR",
+        "--cache-dir", metavar="DIR", default=env[CACHE_DIR_ENV],
         help="artifact cache directory (default: $REPRO_CACHE_DIR if set)",
     )
     parser.add_argument(
         "--no-cache", action="store_true",
         help="disable the artifact cache even if REPRO_CACHE_DIR is set",
     )
+    parser.set_defaults(cache_peers=env[CACHE_PEERS_ENV],
+                        cache_secret=env[CACHE_SECRET_ENV])
 
 
-def _add_fault_options(parser: argparse.ArgumentParser) -> None:
+def _add_fault_options(parser: argparse.ArgumentParser,
+                       env: Dict[str, Optional[str]]) -> None:
     parser.add_argument(
-        "--faults", metavar="PLAN",
+        "--faults", metavar="PLAN", default=env[FAULTS_ENV],
         help="activate a fault-injection plan: inline JSON or a path to "
              "a plan file (default: $REPRO_FAULTS if set); see "
              "docs/architecture.md §11",
@@ -140,12 +172,11 @@ def _add_fault_options(parser: argparse.ArgumentParser) -> None:
 
 
 def _install_faults(args: argparse.Namespace) -> None:
-    """Activate ``--faults`` for this process and its pool workers."""
+    """Activate ``--faults`` for this process; pool workers are handed
+    the installed plan by the driver and the server."""
     spec = getattr(args, "faults", None)
     if not spec:
         return
-    import os
-
     from repro import faults
     from repro.faults import FaultPlan
 
@@ -154,30 +185,33 @@ def _install_faults(args: argparse.Namespace) -> None:
     except ValueError as exc:
         raise CliError(f"bad --faults plan: {exc}")
     faults.install(plan)
-    os.environ[faults.FAULTS_ENV] = plan.to_json()
     logger.info(kv("faults_active", rules=len(plan.rules), seed=plan.seed))
 
 
-def _add_pipeline_options(parser: argparse.ArgumentParser) -> None:
+def _add_pipeline_options(parser: argparse.ArgumentParser,
+                          env: Dict[str, Optional[str]]) -> None:
     parser.add_argument(
         "--jobs", type=int, default=1, metavar="N",
         help="worker processes for independent evaluations (default 1)",
     )
-    _add_cache_options(parser)
+    _add_cache_options(parser, env)
 
 
-def _cache_spec(args: argparse.Namespace):
-    """CLI cache choice as a flow ``cache=`` value.
+def _resolve_cli_cache(args: argparse.Namespace, default=None):
+    """The run's cache object (tier included), or ``None`` for off.
 
-    ``False`` (not ``None``) when ``--no-cache`` is given, so the
-    downstream resolution cannot fall back to ``REPRO_CACHE_DIR``.
+    ``default`` applies when neither ``--cache-dir`` nor
+    ``REPRO_CACHE_DIR`` names a directory (``True``: the user cache).
     """
-    return False if args.no_cache else args.cache_dir
+    if args.no_cache:
+        return None
+    return resolve_cache(args.cache_dir or default, peers=args.cache_peers,
+                         secret=args.cache_secret)
 
 
 def _cmd_tables(args: argparse.Namespace) -> int:
     _install_faults(args)
-    cache = _cache_spec(args)
+    cache = _resolve_cli_cache(args)
     results = run_all(
         num_cycles=args.cycles, seed=args.seed, idle_fraction=args.idle,
         jobs=args.jobs, cache=cache, backend=_resolve_backend_arg(args),
@@ -332,7 +366,7 @@ def _cmd_eval(args: argparse.Namespace) -> int:
         num_cycles=args.cycles,
         idle_fraction=args.idle,
         seed=args.seed,
-        cache=_cache_spec(args),
+        cache=_resolve_cli_cache(args),
         backend=_resolve_backend_arg(args),
         **tuned_kwargs,
     )
@@ -379,7 +413,7 @@ def _cmd_tune(args: argparse.Namespace) -> int:
             target,
             backend=_resolve_backend_arg(args),
             jobs=args.jobs,
-            cache=_cache_spec(args),
+            cache=_resolve_cli_cache(args),
             num_cycles=args.cycles,
             seed=args.seed,
             frequency_mhz=args.frequency,
@@ -436,7 +470,7 @@ def _cmd_eco(args: argparse.Namespace) -> int:
             old,
             new=new_fsm,
             edits=edits,
-            cache=_cache_spec(args),
+            cache=_resolve_cli_cache(args),
             old_fingerprint=args.old_fingerprint,
             frequencies_mhz=args.freq,
             num_cycles=args.cycles,
@@ -518,9 +552,7 @@ def _cmd_dump_bench(args: argparse.Namespace) -> int:
 def _cmd_cache(args: argparse.Namespace) -> int:
     # Maintenance touches only the local store: clearing one machine's
     # disk cache must not reach through the tier to every peer.
-    cache = resolve_cache(args.cache_dir, peers=False)
-    if cache is None:
-        cache = resolve_cache(DEFAULT_CACHE_DIR, peers=False)
+    cache = resolve_cache(args.cache_dir or True)
     if args.action == "clear":
         removed = cache.clear()
         print(f"{cache.root}: removed {removed} cached artifact(s)")
@@ -542,9 +574,7 @@ def _cmd_serve(args: argparse.Namespace) -> int:
 
     from repro.service.server import ServerConfig, run_server
 
-    cache = True if not args.no_cache else False
-    if args.cache_dir and not args.no_cache:
-        cache = args.cache_dir
+    cache = _resolve_cli_cache(args, default=True)
     config = ServerConfig(
         host=args.host,
         port=args.port,
@@ -571,17 +601,15 @@ def _cmd_cached(args: argparse.Namespace) -> int:
     import asyncio
 
     from repro.cachenet.server import run_cache_server
-    from repro.pipeline.cache import ArtifactCache
 
     # A backend IS a local store being shared; it never wraps itself in
-    # the tier (peers=False), and it needs a concrete directory.
-    cache = resolve_cache(args.cache_dir, peers=False)
-    if cache is None:
-        cache = ArtifactCache(DEFAULT_CACHE_DIR)
+    # the tier, and it needs a concrete directory.
+    cache = resolve_cache(args.cache_dir or True)
     logger.info(kv("cached_cli", host=args.host, port=args.port,
                    root=str(cache.root)))
     try:
-        asyncio.run(run_cache_server(cache, args.host, args.port))
+        asyncio.run(run_cache_server(cache, args.host, args.port,
+                                     secret=args.cache_secret))
     except KeyboardInterrupt:
         pass
     return 0
@@ -837,6 +865,9 @@ def _cmd_bench_stats(_args: argparse.Namespace) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The ``romfsm`` parser; the environment is read once, here, for
+    the ``REPRO_*`` option defaults."""
+    env = _read_settings()
     parser = argparse.ArgumentParser(
         prog="romfsm",
         description=(
@@ -845,7 +876,7 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     parser.add_argument(
-        "--log-level", metavar="LEVEL",
+        "--log-level", metavar="LEVEL", default=env[LOG_LEVEL_ENV],
         choices=["debug", "info", "warning", "error", "critical"],
         help="structured-log verbosity (default: $REPRO_LOG_LEVEL or warning)",
     )
@@ -860,8 +891,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="write the run manifest (stage timings, cache "
                         "hits/misses) as JSON to this path")
     _add_backend_option(p)
-    _add_pipeline_options(p)
-    _add_fault_options(p)
+    _add_pipeline_options(p, env)
+    _add_fault_options(p, env)
     p.set_defaults(func=_cmd_tables)
 
     p = sub.add_parser("map", help="map a .kiss2 FSM into block RAM")
@@ -894,8 +925,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="frontier point index to apply (default: the "
                         "minimum-power point)")
     _add_backend_option(p)
-    _add_cache_options(p)
-    _add_fault_options(p)
+    _add_cache_options(p, env)
+    _add_fault_options(p, env)
     p.set_defaults(func=_cmd_eval)
 
     p = sub.add_parser(
@@ -920,8 +951,8 @@ def build_parser() -> argparse.ArgumentParser:
                         "bound-pruning dominated regions (same frontier, "
                         "slower; the brute-force reference)")
     _add_backend_option(p)
-    _add_pipeline_options(p)
-    _add_fault_options(p)
+    _add_pipeline_options(p, env)
+    _add_fault_options(p, env)
     p.set_defaults(func=_cmd_tune)
 
     p = sub.add_parser(
@@ -950,15 +981,15 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", metavar="FILE",
                    help="also write the result summary as JSON")
     _add_backend_option(p)
-    _add_cache_options(p)
-    _add_fault_options(p)
+    _add_cache_options(p, env)
+    _add_fault_options(p, env)
     p.set_defaults(func=_cmd_eco)
 
     p = sub.add_parser(
         "cache", help="inspect or clear the content-addressed artifact cache"
     )
     p.add_argument("action", choices=["stats", "clear"])
-    p.add_argument("--cache-dir", metavar="DIR",
+    p.add_argument("--cache-dir", metavar="DIR", default=env[CACHE_DIR_ENV],
                    help="cache directory (default: $REPRO_CACHE_DIR, "
                         "else ~/.cache/romfsm)")
     p.set_defaults(func=_cmd_cache)
@@ -995,12 +1026,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--drain-grace", type=float, default=30.0, metavar="S",
                    help="seconds to let in-flight work finish on SIGTERM")
     p.add_argument("--cache-peers", metavar="HOSTS",
+                   default=env[CACHE_PEERS_ENV],
                    help="comma-separated `romfsm cached` backends "
                         "(host:port,host:port): artifact-cache misses "
                         "read through the shared tier and stores write "
                         "behind to it (default: $REPRO_CACHE_PEERS)")
-    _add_cache_options(p)
-    _add_fault_options(p)
+    _add_cache_options(p, env)
+    _add_fault_options(p, env)
     p.set_defaults(func=_cmd_serve)
 
     p = sub.add_parser(
@@ -1012,11 +1044,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--port", type=int, default=0,
                    help="listen port (default 0: pick a free port and "
                         "announce it on stdout as JSON)")
-    p.add_argument("--cache-dir", metavar="DIR",
+    p.add_argument("--cache-dir", metavar="DIR", default=env[CACHE_DIR_ENV],
                    help="artifact store to serve (default: "
                         "$REPRO_CACHE_DIR, else ~/.cache/romfsm)")
-    _add_fault_options(p)
-    p.set_defaults(func=_cmd_cached)
+    _add_fault_options(p, env)
+    p.set_defaults(func=_cmd_cached, cache_secret=env[CACHE_SECRET_ENV])
 
     p = sub.add_parser(
         "campaign",

@@ -161,12 +161,10 @@ class FsmDesign:
         content-addressed artifact store.
         """
         resolved = resolve_cache(cache)
-        # False (not None) so workers do not fall back to REPRO_CACHE_DIR.
-        cache_path = str(resolved.root) if resolved is not None else False
         items = [
             (
                 fsm, idle_fraction, frequency_mhz, num_cycles, seed,
-                self.device, self.params, self.backend, cache_path,
+                self.device, self.params, self.backend, resolved,
             )
             for fsm, _policy, idle_fraction in self._fsms
         ]
@@ -331,7 +329,7 @@ def build_design_pipeline() -> Pipeline:
 def _design_shard(item) -> Tuple[Dict[str, Tuple[float, Utilization, int]], Any]:
     """Top-level worker for :func:`run_sharded` (must be picklable)."""
     (fsm, idle_fraction, frequency_mhz, num_cycles, seed,
-     device, params, backend, cache_path) = item
+     device, params, backend, cache) = item
     config: Dict[str, Any] = {
         "fsm": fsm,
         "kiss": format_kiss(fsm),
@@ -347,5 +345,5 @@ def _design_shard(item) -> Tuple[Dict[str, Tuple[float, Utilization, int]], Any]
         "params": params,
         "backend": backend,
     }
-    outcome = build_design_pipeline().run(config, cache=resolve_cache(cache_path))
+    outcome = build_design_pipeline().run(config, cache=cache)
     return outcome.value("design-candidates"), outcome.report

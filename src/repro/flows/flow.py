@@ -262,9 +262,9 @@ def evaluate_benchmark(
 
 def _evaluate_shard(item) -> Tuple[str, EvaluationResult, PipelineReport]:
     """Top-level worker for :func:`run_sharded` (must be picklable)."""
-    label, name_or_fsm, kwargs, cache_dir = item
+    label, name_or_fsm, kwargs, cache = item
     result, report = evaluate_benchmark_detailed(
-        name_or_fsm, cache=cache_dir, **kwargs
+        name_or_fsm, cache=cache, **kwargs
     )
     return label, result, report
 
@@ -285,13 +285,10 @@ def evaluate_many(
     :func:`repro.pipeline.driver.run_sharded`).
     """
     resolved = resolve_cache(cache)
-    # Workers re-resolve this value; False (not None) keeps a
-    # "caching off" decision from falling through to REPRO_CACHE_DIR.
-    cache_path = str(resolved.root) if resolved is not None else False
     items = []
     for entry in benchmarks:
         label = entry if isinstance(entry, str) else entry.name
-        items.append((label, entry, kwargs, cache_path))
+        items.append((label, entry, kwargs, resolved))
 
     start = time.perf_counter()
     shards = run_sharded(_evaluate_shard, items, jobs=jobs, max_retries=max_retries)

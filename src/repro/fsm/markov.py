@@ -23,7 +23,7 @@ closing the loop between the analytic model and the measured traces.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
@@ -108,11 +108,6 @@ def stationary_for(fsm: FSM) -> np.ndarray:
         return pi
 
     return fsm_memo(fsm, ("stationary",), build)
-
-
-def _occupancy(fsm: FSM) -> Dict[str, float]:
-    pi = stationary_for(fsm)
-    return {state: float(pi[i]) for i, state in enumerate(fsm.states)}
 
 
 def expected_idle_fraction(fsm: FSM) -> float:

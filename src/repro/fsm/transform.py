@@ -16,11 +16,10 @@ toolbox (they are what SIS's ``state_minimize`` would do before mapping).
 
 from __future__ import annotations
 
-import itertools
-from typing import Dict, FrozenSet, List, Set, Tuple
+from typing import Dict, List, Set, Tuple
 
 from repro.fsm.machine import FSM, FsmError, Transition
-from repro.logic.cube import Cover, Cube
+from repro.logic.cube import Cover
 from repro.logic.minimize import complement
 
 __all__ = [
@@ -133,24 +132,6 @@ def mealy_to_moore(fsm: FSM) -> FSM:
                 )
             )
     return remove_unreachable(result)
-
-
-def _signature(fsm: FSM, state: str, partition_of: Dict[str, int]) -> Tuple:
-    """Behavioural signature of a state under the current partition.
-
-    Enumerates the input minterm space, so it is exact for complete
-    deterministic machines with a moderate number of inputs (the MCNC
-    set tops out at 11); machines with more than 16 inputs are rejected
-    by :func:`minimize_states`.
-    """
-    sig = []
-    for m in range(1 << fsm.num_inputs):
-        t = fsm.lookup(state, m)
-        if t is None:
-            sig.append((None, None))
-        else:
-            sig.append((partition_of[t.dst], t.resolved_outputs()))
-    return tuple(sig)
 
 
 def minimize_states(fsm: FSM, max_inputs: int = 16) -> FSM:

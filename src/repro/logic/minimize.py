@@ -272,10 +272,6 @@ def _blocking_count(off: Cover, var: int) -> int:
     return sum(1 for c in off if c.care_mask() & bit)
 
 
-def _intersects_cover(cube: Cube, cover: Cover) -> bool:
-    return cover.intersects_cube(cube)
-
-
 def _irredundant(on: Cover, dc: Cover) -> Cover:
     """IRREDUNDANT: drop cubes covered by the rest of the cover plus DC."""
     cubes = list(on.cubes)

@@ -7,21 +7,18 @@ without a JSON dependency::
 
     2026-08-05T12:00:00 INFO repro.service event=request path=/v1/evaluate status=200 ms=41.3
 
-:func:`configure_logging` is idempotent and resolves the level from (in
-priority order) an explicit argument — e.g. the ``--log-level`` CLI
-flag — then the ``REPRO_LOG_LEVEL`` environment variable, defaulting to
-``WARNING`` so normal CLI output is unchanged.
+:func:`configure_logging` is idempotent and takes the level as an
+argument (the CLI passes ``--log-level``, whose default comes from
+``REPRO_LOG_LEVEL``), defaulting to ``WARNING`` so normal CLI output is
+unchanged.
 """
 
 from __future__ import annotations
 
 import logging
-import os
 from typing import Any, Optional
 
-__all__ = ["LOG_LEVEL_ENV", "configure_logging", "get_logger", "kv"]
-
-LOG_LEVEL_ENV = "REPRO_LOG_LEVEL"
+__all__ = ["configure_logging", "get_logger", "kv"]
 
 _FORMAT = "%(asctime)s %(levelname)s %(name)s %(message)s"
 _DATE_FORMAT = "%Y-%m-%dT%H:%M:%S"
@@ -47,8 +44,8 @@ def kv(event: str, **fields: Any) -> str:
 
 
 def resolve_level(level: Optional[str] = None) -> int:
-    """Numeric level from the argument, else $REPRO_LOG_LEVEL, else WARNING."""
-    name = level or os.environ.get(LOG_LEVEL_ENV) or "WARNING"
+    """Numeric level for a level name; WARNING when absent or unknown."""
+    name = level or "WARNING"
     resolved = logging.getLevelName(str(name).upper())
     if not isinstance(resolved, int):
         resolved = logging.WARNING

@@ -25,7 +25,6 @@ computation.
 from repro.pipeline.artifact import Artifact, FingerprintError, fingerprint
 from repro.pipeline.cache import (
     DEFAULT_CACHE_DIR,
-    CACHE_DIR_ENV,
     ArtifactCache,
     CacheStats,
     resolve_cache,
@@ -49,7 +48,6 @@ __all__ = [
     "CacheStats",
     "resolve_cache",
     "DEFAULT_CACHE_DIR",
-    "CACHE_DIR_ENV",
     "Stage",
     "StageContext",
     "Pipeline",

@@ -46,8 +46,6 @@ from repro import faults
 from repro.logutil import get_logger, kv
 
 __all__ = [
-    "CACHE_DIR_ENV",
-    "CACHE_PEERS_ENV",
     "DEFAULT_CACHE_DIR",
     "DEGRADE_THRESHOLD",
     "MEMORY_MAX_BYTES",
@@ -57,11 +55,6 @@ __all__ = [
     "resolve_cache",
 ]
 
-CACHE_DIR_ENV = "REPRO_CACHE_DIR"
-# Comma-separated cache-tier backends ("host:port,host:port"); when set,
-# resolve_cache() wraps the disk cache in an L2 read-through/write-behind
-# client (see repro.cachenet).
-CACHE_PEERS_ENV = "REPRO_CACHE_PEERS"
 DEFAULT_CACHE_DIR = Path.home() / ".cache" / "romfsm"
 
 # Consecutive I/O errors before the cache falls back to memory.
@@ -625,66 +618,49 @@ class ArtifactCache:
             "session": self.stats.as_dict(),
         }
 
+    def __reduce__(self):
+        # A cache crosses into pool workers as its spec: the worker
+        # reopens the same store, with fresh stats and an empty
+        # degraded-mode LRU (process-local state never travels).
+        return (ArtifactCache, (str(self.root), self._degrade_threshold,
+                                self._memory_max_entries,
+                                self._memory_max_bytes))
+
     def __repr__(self) -> str:
         return f"ArtifactCache({str(self.root)!r})"
 
 
 def resolve_cache(
-    cache_dir: Union[None, bool, str, Path, ArtifactCache] = None,
-    no_cache: bool = False,
-    peers: Union[None, bool, str] = None,
+    cache: Union[None, bool, str, Path, ArtifactCache] = None,
+    peers: Optional[str] = None,
+    secret: Union[None, str, bytes] = None,
 ) -> Optional[ArtifactCache]:
     """Resolve the cache to use for a run.
 
-    Priority: ``no_cache`` (or ``cache_dir=False``) disables caching
-    outright; an explicit ``cache_dir`` (path or ready
-    :class:`ArtifactCache`) wins next; then the ``REPRO_CACHE_DIR``
-    environment variable; otherwise caching is off and the pipeline
-    computes everything in memory.
+    ``None`` or ``False`` turns caching off (the pipeline computes
+    everything in memory), ``True`` means :data:`DEFAULT_CACHE_DIR`, a
+    path opens that directory, and a ready :class:`ArtifactCache` is
+    returned as is.  Nothing here reads the environment: the ``romfsm``
+    CLI turns ``REPRO_CACHE_DIR`` and friends into these arguments.
 
-    ``False`` exists so an upstream "caching off" decision survives
-    re-resolution: flow entry points resolve their ``cache`` argument
-    again (workers receive it as a plain value), and ``None`` there
-    would fall through to the environment variable.  ``True`` is the
-    mirror image — "definitely cache": the environment variable still
-    wins, else the default user cache directory.  The long-lived server
-    uses it so every request shares one artifact store by default.
-
-    ``peers`` selects the shared cache tier (:mod:`repro.cachenet`):
-    a ``"host:port,host:port"`` spec (or ``None`` to consult the
-    ``REPRO_CACHE_PEERS`` environment variable) wraps the resolved disk
-    cache in an :class:`~repro.cachenet.l2.L2Cache` — read-through to
-    the tier on local miss, write-behind on put.  ``peers=False``
-    disables the tier even when the environment names backends (used
-    by maintenance commands that must touch only the local store).
-    Because activation rides on an environment variable, pool workers
-    that re-resolve a plain path spec join the same tier with no
-    call-site changes.
+    ``peers`` (``"host:port,host:port"``) joins the shared cache tier
+    (:mod:`repro.cachenet`): the disk cache is wrapped in an
+    :class:`~repro.cachenet.l2.L2Cache` that reads through to the tier
+    on a local miss and writes behind on put.  ``secret`` is the tier's
+    HMAC shared secret.  An unparseable spec logs a warning and keeps
+    the local cache.
     """
-    if no_cache or cache_dir is False:
+    if cache is None or cache is False:
         return None
-    if isinstance(cache_dir, ArtifactCache):
-        return cache_dir
-    local: Optional[ArtifactCache] = None
-    if cache_dir is not None and cache_dir is not True:
-        local = ArtifactCache(cache_dir)
-    else:
-        env = os.environ.get(CACHE_DIR_ENV)
-        if env:
-            local = ArtifactCache(env)
-        elif cache_dir is True:
-            local = ArtifactCache(DEFAULT_CACHE_DIR)
-    if local is None:
-        return None
-    if peers is False:
-        return local
-    spec = peers if isinstance(peers, str) else os.environ.get(CACHE_PEERS_ENV)
-    if not spec:
+    if isinstance(cache, ArtifactCache):
+        return cache
+    local = ArtifactCache(DEFAULT_CACHE_DIR if cache is True else cache)
+    if not peers:
         return local
     from repro.cachenet.l2 import L2Cache
 
     try:
-        return L2Cache.from_spec(local, spec)
+        return L2Cache.from_spec(local, peers, secret=secret)
     except ValueError as exc:
-        logger.warning(kv("cache_peers_invalid", spec=spec, error=str(exc)))
+        logger.warning(kv("cache_peers_invalid", spec=peers, error=str(exc)))
         return local

@@ -61,20 +61,13 @@ class WorkerCrashError(RuntimeError):
 def _pool_worker_init(plan_spec: Optional[str]) -> None:
     """Install the driver's active fault plan in a fresh pool worker.
 
-    The environment route (``REPRO_FAULTS``) reaches fork and spawn
-    children, but a *forkserver* inherits the environment of the moment
-    the server process launched — an env var exported afterwards never
-    arrives.  Passing the plan through the pool initializer makes fault
-    propagation deterministic under every start method.
+    The plan travels as an argument, so it arrives under every start
+    method (a forkserver child inherits neither the parent's installed
+    plan nor its current environment), and each worker starts with
+    fresh fire counters.
     """
-    if not plan_spec:
-        return
-    from repro.faults.plan import FaultPlan
-
-    try:
-        faults.install(FaultPlan.from_spec(plan_spec))
-    except ValueError:  # pragma: no cover - malformed plan, fail open
-        pass
+    if plan_spec:
+        faults.install(faults.FaultPlan.from_spec(plan_spec))
 
 
 def _worker_call(func: Callable[[Any], Any], item: Any, attempt: int) -> Any:

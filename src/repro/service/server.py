@@ -28,7 +28,6 @@ from __future__ import annotations
 
 import asyncio
 import multiprocessing
-import os
 import signal
 import threading
 import time
@@ -40,7 +39,7 @@ from typing import Any, Callable, Dict, Optional, Tuple
 
 from repro import faults
 from repro.logutil import configure_logging, get_logger, kv
-from repro.pipeline.cache import CACHE_PEERS_ENV, resolve_cache
+from repro.pipeline.cache import resolve_cache
 from repro.pipeline.driver import RunManifest, WorkerCrashError
 from repro.pipeline.pipeline import PipelineCancelled
 from repro.service import http
@@ -63,8 +62,8 @@ class ServerConfig:
     timeout_s: float = 120.0           # per-request wall-clock budget
     cache: Any = True                  # resolve_cache() spec; True = shared default
     # Cache-tier backends ("host:port,host:port"): wraps the artifact
-    # cache in the shared L2 tier (repro.cachenet) and exports
-    # REPRO_CACHE_PEERS so pool workers join the same tier.
+    # cache in the shared L2 tier (repro.cachenet).  Pool workers are
+    # handed the tiered cache itself, so they join the same tier.
     cache_peers: Optional[str] = None
     max_body_bytes: int = http.DEFAULT_MAX_BODY_BYTES
     executor: str = "process"          # "process" | "thread"
@@ -96,16 +95,13 @@ def _pool_run(
     job: Job,
     cache: Any,
     attempt: int = 0,
-    faults_env: Optional[str] = None,
+    plan_spec: Optional[str] = None,
 ):
     """Module-level executor target (must be picklable for process pools)."""
-    # The active fault plan travels as an argument: workers are forked
-    # from a forkserver whose environment was captured at its first
-    # start, so the submit-time env value is the authoritative one.
-    if faults_env:
-        os.environ[faults.FAULTS_ENV] = faults_env
-    else:
-        os.environ.pop(faults.FAULTS_ENV, None)
+    # The active fault plan travels as an argument: a forkserver worker
+    # inherits nothing of the server's state, so the submit-time plan is
+    # the authoritative one.
+    faults.adopt(plan_spec)
     # Chaos hook: "kill" here takes the whole pool worker down, which
     # surfaces to the event loop as BrokenProcessPool; _execute rebuilds
     # the pool and retries with the attempt counter advanced.
@@ -125,16 +121,8 @@ class CompileServer:
         # runner(job, cache=..., should_cancel=...) -> (payload, records);
         # injectable so tests can count/stall executions.
         self._runner = runner
-        if self.config.cache_peers:
-            # Exported before the forkserver spawns (start() runs later),
-            # so pool workers re-resolving the plain path spec join the
-            # same tier automatically.
-            os.environ[CACHE_PEERS_ENV] = self.config.cache_peers
         self._cache = resolve_cache(
-            self.config.cache, peers=self.config.cache_peers or None
-        )
-        self._cache_spec: Any = (
-            str(self._cache.root) if self._cache is not None else False
+            self.config.cache, peers=self.config.cache_peers
         )
         self._inflight: Dict[str, _InFlight] = {}
         self._slots = asyncio.Semaphore(max(1, self.config.jobs))
@@ -720,25 +708,23 @@ class CompileServer:
                 # The cancel event cannot cross the process boundary;
                 # an abandoned job runs to completion there and at
                 # least warms the artifact cache.
+                # The cache pickles as its spec (tier included); the
+                # worker reopens it.
                 if self._runner is not None:
-                    call = partial(self._runner, job, self._cache_spec)
+                    call = partial(self._runner, job, self._cache)
                 else:
+                    plan = faults.active_plan()
                     call = partial(
-                        _pool_run, job, self._cache_spec, attempt,
-                        os.environ.get(faults.FAULTS_ENV),
+                        _pool_run, job, self._cache, attempt,
+                        plan.to_json() if plan is not None else None,
                     )
             else:
                 runner = self._runner or run_job
                 # Thread workers share the server's cache instance, so
                 # degradation state and stats are process-wide truths
-                # (and /metrics can report them); process workers get
-                # the path spec.
+                # (and /metrics can report them).
                 call = partial(
-                    runner, job,
-                    cache=(
-                        self._cache if self._cache is not None
-                        else self._cache_spec
-                    ),
+                    runner, job, cache=self._cache,
                     should_cancel=entry.cancel_event.is_set,
                 )
             try:

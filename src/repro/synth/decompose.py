@@ -196,13 +196,6 @@ class DecomposedFfImplementation:
     def utilization(self) -> Utilization:
         return Utilization(luts=self.num_luts, ffs=self.num_ffs, brams=0)
 
-    @property
-    def cross_edge_count(self) -> int:
-        return sum(
-            1 for t in self.fsm.transitions
-            if (t.src in self.part_a) != (t.dst in self.part_a)
-        )
-
     # ------------------------------------------------------------------
 
     def _evaluate_half(

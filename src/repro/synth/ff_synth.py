@@ -20,9 +20,8 @@ levels, the FF count, and a cycle-accurate simulator hook.
 
 from __future__ import annotations
 
-import math
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from dataclasses import dataclass
+from typing import Dict, List, Tuple
 
 from repro.arch.device import Utilization
 from repro.fsm.encoding import StateEncoding, make_encoding
@@ -66,14 +65,6 @@ class FfImplementation:
     @property
     def utilization(self) -> Utilization:
         return Utilization(luts=self.num_luts, ffs=self.num_ffs, brams=0)
-
-    @property
-    def state_bit_names(self) -> List[str]:
-        return self.encoding.bit_names
-
-    @property
-    def next_state_names(self) -> List[str]:
-        return [f"ns{i}" for i in range(self.encoding.width)]
 
     def combinational_inputs(self, state_code: int, input_bits: int) -> Dict[str, int]:
         """Input-net values for one cycle of netlist evaluation."""

@@ -9,8 +9,7 @@ from repro.pipeline.cache import ArtifactCache
 
 
 @pytest.fixture(autouse=True)
-def no_ambient_plan(monkeypatch):
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+def no_ambient_plan():
     faults.uninstall()
     yield
     faults.uninstall()

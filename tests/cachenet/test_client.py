@@ -171,7 +171,7 @@ class TestInjectedTransportFaults:
             backend.server.cache.put(KEY, "fp", 1)
             plan = FaultPlan([FaultRule(point="cachenet.request",
                                         kind="reset", max_fires=1)])
-            with faults.injected(plan, export_env=False):
+            with faults.injected(plan):
                 assert client.get(KEY) is None
             name = client.ring.node_for(KEY)
             assert client.breakers[name].state == "open"
@@ -186,7 +186,7 @@ class TestInjectedTransportFaults:
             backend.server.cache.put(KEY, "fp", {"payload": bytes(256)})
             plan = FaultPlan([FaultRule(point="cachenet.request",
                                         kind="bitflip", max_fires=1)])
-            with faults.injected(plan, export_env=False):
+            with faults.injected(plan):
                 data = client.get(KEY)
             # The transport returned bytes, but they are damaged —
             # verify_envelope is the consumer-side gate.

@@ -5,11 +5,9 @@ import pytest
 
 from repro.cachenet.client import ShardedCacheClient
 from repro.cachenet.l2 import L2Cache
-from repro.pipeline.cache import (
-    CACHE_PEERS_ENV,
-    ArtifactCache,
-    resolve_cache,
-)
+from repro.pipeline.cache import ArtifactCache, resolve_cache
+
+CACHE_PEERS_ENV = "REPRO_CACHE_PEERS"
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -140,29 +138,53 @@ class TestResolveCacheWiring:
         assert isinstance(cache, L2Cache)
         assert cache.root == tmp_path / "fresh"
 
-    def test_environment_activates_the_tier(self, tier, tmp_path, monkeypatch):
+    def test_environment_activates_the_tier(self, tier, tmp_path,
+                                            monkeypatch):
+        # The CLI turns REPRO_CACHE_PEERS into the resolved cache.
+        from repro.flows.cli import _resolve_cli_cache, build_parser
+
         _l2, spec, _backends = tier
         monkeypatch.setenv(CACHE_PEERS_ENV, spec)
-        cache = resolve_cache(tmp_path / "env-local")
+        args = build_parser().parse_args(
+            ["eval", "dk14", "--cache-dir", str(tmp_path / "env-local")])
+        cache = _resolve_cli_cache(args)
         assert isinstance(cache, L2Cache)
+        assert cache.root == tmp_path / "env-local"
 
     def test_peers_false_stays_local(self, tier, tmp_path, monkeypatch):
+        # No peers given, no tier: an exported REPRO_CACHE_PEERS is not
+        # read below the CLI (the maintenance commands rely on this).
         _l2, spec, _backends = tier
         monkeypatch.setenv(CACHE_PEERS_ENV, spec)
-        cache = resolve_cache(tmp_path / "local-only", peers=False)
+        cache = resolve_cache(tmp_path / "local-only")
         assert isinstance(cache, ArtifactCache)
         assert not isinstance(cache, L2Cache)
 
-    def test_bad_peer_spec_falls_back_to_local(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_PEERS_ENV, "not a spec :::")
-        cache = resolve_cache(tmp_path / "fallback")
+    def test_bad_peer_spec_falls_back_to_local(self, tmp_path):
+        cache = resolve_cache(tmp_path / "fallback", peers="not a spec :::")
         assert isinstance(cache, ArtifactCache)
         assert not isinstance(cache, L2Cache)
 
-    def test_no_peers_no_wrap(self, tmp_path, monkeypatch):
-        monkeypatch.delenv(CACHE_PEERS_ENV, raising=False)
+    def test_no_peers_no_wrap(self, tmp_path):
         cache = resolve_cache(tmp_path / "plain")
         assert not isinstance(cache, L2Cache)
+
+
+class TestPickle:
+    def test_pickles_as_its_spec(self, tier, tmp_path):
+        import pickle
+
+        _l2, spec, _backends = tier
+        cache = resolve_cache(tmp_path / "p", peers=spec, secret="s3cret")
+        try:
+            clone = pickle.loads(pickle.dumps(cache))
+            assert isinstance(clone, L2Cache)
+            assert clone.root == cache.root
+            # Rebuilt through from_spec: the same process-shared client.
+            assert clone.remote is cache.remote
+            assert clone.remote.secret == b"s3cret"
+        finally:
+            cache.close()
 
 
 class TestBitIdenticalDegradation:

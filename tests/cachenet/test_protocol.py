@@ -117,12 +117,13 @@ class TestFrameAuth:
     def test_resolve_secret_prefers_explicit_over_environment(
         self, monkeypatch
     ):
-        monkeypatch.setenv(protocol.CACHE_SECRET_ENV, "from-env")
+        # Only the romfsm CLI reads REPRO_CACHE_SECRET; below it the
+        # secret is an explicit value or absent.
+        monkeypatch.setenv("REPRO_CACHE_SECRET", "from-env")
         assert protocol.resolve_secret(b"explicit") == b"explicit"
         assert protocol.resolve_secret("text") == b"text"
-        assert protocol.resolve_secret() == b"from-env"
-        monkeypatch.delenv(protocol.CACHE_SECRET_ENV)
         assert protocol.resolve_secret() is None
+        assert protocol.resolve_secret("") is None
 
 
 class TestPeerSpec:

@@ -118,7 +118,7 @@ class TestKeyValidation:
 
 
 class TestSharedSecret:
-    """With REPRO_CACHE_SECRET set, every frame carries an HMAC tag; a
+    """With a shared secret set, every frame carries an HMAC tag; a
     peer without the secret cannot get a byte past the gate."""
 
     SECRET = b"tier-secret"

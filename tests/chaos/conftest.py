@@ -20,8 +20,7 @@ ARTIFACT_DIR = os.environ.get("CHAOS_ARTIFACT_DIR")
 
 
 @pytest.fixture(autouse=True)
-def no_ambient_plan(monkeypatch):
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+def no_ambient_plan():
     faults.uninstall()
     yield
     faults.uninstall()

@@ -19,7 +19,7 @@ from repro.cachenet.l2 import L2Cache
 from repro.cachenet.server import CacheServerHandle
 from repro.faults import FaultPlan, FaultRule
 from repro.flows.flow import evaluate_benchmark
-from repro.pipeline.cache import CACHE_PEERS_ENV, ArtifactCache
+from repro.pipeline.cache import ArtifactCache
 from repro.service.client import ServiceClient
 from repro.service.jobs import evaluate_payload
 from repro.service.server import ServerConfig
@@ -52,7 +52,7 @@ def _items():
 
 class TestBackendDeathMidBatch:
     def test_tier_death_mid_campaign_stays_bit_identical(
-        self, tmp_path, record_plan, monkeypatch
+        self, tmp_path, record_plan
     ):
         """A /v1/batch campaign through a tiered serve: the tier dies
         (every backend request resets) between the warm round and the
@@ -62,9 +62,6 @@ class TestBackendDeathMidBatch:
         b1 = CacheServerHandle(ArtifactCache(tmp_path / "b1"))
         b2 = CacheServerHandle(ArtifactCache(tmp_path / "b2"))
         spec = f"{b1.address},{b2.address}"
-        # The server exports CACHE_PEERS_ENV for its workers; register
-        # the key with monkeypatch so teardown clears it.
-        monkeypatch.setenv(CACHE_PEERS_ENV, spec)
 
         plan = record_plan(FaultPlan(
             [FaultRule(point="cachenet.request", kind="reset")]
@@ -87,7 +84,7 @@ class TestBackendDeathMidBatch:
                 # Drop the local store so the replay round must consult
                 # the tier — which dies under it.  Degrade to compute.
                 server._cache.clear()
-                with faults.injected(plan, export_env=False):
+                with faults.injected(plan):
                     dead = await loop.run_in_executor(
                         None, lambda: client.batch(_items()))
                     metrics = server.render_metrics()
@@ -151,7 +148,7 @@ class TestCorruptTierFrames:
             cold = L2Cache(
                 ArtifactCache(tmp_path / "cold"), warm.remote
             )
-            with faults.injected(plan, export_env=False):
+            with faults.injected(plan):
                 first = payload_of(
                     evaluate_benchmark("dk14", cache=cold, **SMALL))
                 second = payload_of(

@@ -65,7 +65,7 @@ class TestCacheFaultStorm:
         ))
 
         cache = ArtifactCache(tmp_path / "cache")
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             # First run populates through the write faults; the second
             # reads back through the read faults.
             first = payload_of(
@@ -82,7 +82,7 @@ class TestCacheFaultStorm:
             [FaultRule(point="cache.put", kind="disk_full")]
         ))
         cache = ArtifactCache(tmp_path / "cache", degrade_threshold=2)
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             got = payload_of(evaluate_benchmark("dk14", cache=cache, **SMALL))
         assert got == baseline
         assert cache.degraded  # every write failed; memory took over
@@ -94,7 +94,7 @@ class TestPipelineFaults:
             [FaultRule(point="pipeline.stage", kind="raise",
                        match={"stage": "power"})]
         ))
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             with pytest.raises(FaultInjected) as info:
                 evaluate_benchmark("dk14", cache=False, **SMALL)
         assert info.value.point == "pipeline.stage"
@@ -114,8 +114,7 @@ class TestWorkerKillRetry:
                        match={"attempt": 0})],
             seed=chaos_seed,
         ))
-        # export_env=True (default): pool workers see the plan however
-        # the multiprocessing start method launches them.
+        # run_sharded hands the installed plan to each pool worker.
         import logging
         with caplog.at_level(logging.WARNING):
             with faults.injected(plan):
@@ -166,7 +165,7 @@ class TestBackendChaos:
         ))
 
         cache = ArtifactCache(tmp_path / "cache")
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             first = payload_of(evaluate_benchmark(
                 "dk14", cache=cache, backend="reram-1t1r", **SMALL))
             second = payload_of(evaluate_benchmark(
@@ -180,7 +179,7 @@ class TestBackendChaos:
             [FaultRule(point="pipeline.stage", kind="raise",
                        match={"stage": "rom-map"})]
         ))
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             with pytest.raises(FaultInjected) as info:
                 evaluate_benchmark(
                     "dk14", cache=False, backend="reram-1t1r", **SMALL)
@@ -219,7 +218,7 @@ class TestServiceChaos:
                     port=server.port, timeout_s=60.0,
                     retries=2, backoff_s=0.05, retry_seed=0,
                 )
-                with faults.injected(plan, export_env=False):
+                with faults.injected(plan):
                     return await loop.run_in_executor(
                         None,
                         lambda: client.evaluate(benchmark="dk14", **SMALL),
@@ -240,7 +239,7 @@ class TestServiceChaos:
                 timeout_s=0.3, drain_grace_s=0.1,
             )
             async with serving(config) as server:
-                with faults.injected(plan, export_env=False):
+                with faults.injected(plan):
                     return await http_request(
                         server.port, "POST", "/v1/evaluate",
                         body={"benchmark": "dk14", "num_cycles": 50,
@@ -277,7 +276,7 @@ class TestBatchChaos:
                 port=0, executor="process", jobs=2, cache=False,
                 timeout_s=120.0, drain_grace_s=5.0,
             )
-            # export_env=True (default): pool workers inherit the plan.
+            # The server hands the installed plan to each pool job.
             with faults.injected(plan):
                 async with serving(config) as server:
                     loop = asyncio.get_running_loop()
@@ -324,7 +323,7 @@ class TestBatchChaos:
                 timeout_s=0.4, drain_grace_s=0.1,
             )
             async with serving(config) as server:
-                with faults.injected(plan, export_env=False):
+                with faults.injected(plan):
                     return await http_request(
                         server.port, "POST", "/v1/batch",
                         body={"items": [

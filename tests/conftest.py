@@ -1,9 +1,11 @@
 """Suite-wide fixtures.
 
-The suite is hermetic: every ``REPRO_*`` variable the library reads is
-removed before each test, so an exported cache directory, tier, fault
-plan or log level cannot change what a test observes.  Tests that need
-one set it explicitly (``monkeypatch.setenv``).
+The suite is hermetic: every ``REPRO_*`` variable is removed before
+each test.  Only the ``romfsm`` CLI reads them (the library takes
+explicit values), and many tests drive ``main()`` in process, so an
+exported cache directory, tier, fault plan or log level in the caller's
+shell cannot change what a test observes.  Tests that need one set it
+explicitly (``monkeypatch.setenv``).
 """
 
 import pytest
@@ -33,6 +35,5 @@ def _hermetic_session():
 
 @pytest.fixture(autouse=True)
 def _hermetic_env(monkeypatch):
-    # Per test too: a library call (a server exporting its tier for
-    # pool workers, say) may leave one behind.
+    # Per test too: a test's own setenv must not leak into the next.
     _scrub(monkeypatch)

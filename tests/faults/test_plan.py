@@ -7,8 +7,7 @@ from repro.faults import FaultInjected, FaultPlan, FaultRule
 
 
 @pytest.fixture(autouse=True)
-def no_ambient_plan(monkeypatch):
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+def no_ambient_plan():
     faults.uninstall()
     yield
     faults.uninstall()
@@ -118,34 +117,56 @@ class TestRuntime:
     def test_no_plan_is_a_noop(self):
         assert faults.hit("cache.get", key="k") is None
 
-    def test_injected_scopes_plan_and_env(self, monkeypatch):
+    def test_injected_scopes_plan_and_env(self):
         plan = FaultPlan([FaultRule(point="p", kind="raise")])
         import os
         with faults.injected(plan):
             assert faults.active_plan() is plan
-            assert os.environ.get(faults.FAULTS_ENV)
+            # The plan reaches pool workers as an argument, never
+            # through the environment.
+            assert "REPRO_FAULTS" not in os.environ
             with pytest.raises(FaultInjected, match="injected fault at 'p'"):
                 faults.hit("p")
         assert faults.active_plan() is None
-        assert faults.FAULTS_ENV not in os.environ
 
     def test_env_activation(self, monkeypatch):
+        # REPRO_FAULTS activates a plan through the romfsm CLI.
+        from repro.flows.cli import _install_faults, build_parser
+
         plan = FaultPlan([FaultRule(point="p", kind="oserror")], seed=9)
-        monkeypatch.setenv(faults.FAULTS_ENV, plan.to_json())
+        monkeypatch.setenv("REPRO_FAULTS", plan.to_json())
+        _install_faults(build_parser().parse_args(["tables"]))
         active = faults.active_plan()
         assert active is not None and active.seed == 9
         with pytest.raises(OSError, match="injected I/O error"):
             faults.hit("p")
 
     def test_invalid_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(faults.FAULTS_ENV, "{nope")
+        # Below the CLI the environment is never read at all.
+        monkeypatch.setenv("REPRO_FAULTS", "{nope")
         assert faults.active_plan() is None
         assert faults.hit("p") is None
+
+    def test_adopt_reinstalls_only_on_change(self):
+        plan = FaultPlan([FaultRule(point="p", kind="raise", max_fires=1)])
+        spec = plan.to_json()
+        faults.adopt(spec)
+        held = faults.active_plan()
+        with pytest.raises(FaultInjected):
+            faults.hit("p")
+        faults.adopt(spec)  # same plan: the fire counter carries on
+        assert faults.active_plan() is held
+        assert faults.hit("p") is None
+        faults.adopt(FaultPlan([FaultRule(point="p", kind="raise")],
+                               seed=1).to_json())
+        assert faults.active_plan() is not held
+        faults.adopt(None)
+        assert faults.active_plan() is None
 
     def test_disk_full_errno(self):
         import errno
         plan = FaultPlan([FaultRule(point="p", kind="disk_full")])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             with pytest.raises(OSError) as info:
                 faults.hit("p")
         assert info.value.errno == errno.ENOSPC
@@ -155,7 +176,7 @@ class TestRuntime:
         plan = FaultPlan(
             [FaultRule(point="p", kind="stall", delay_s=0.05, max_fires=1)]
         )
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             start = time.perf_counter()
             assert faults.hit("p") is None
             assert time.perf_counter() - start >= 0.04

@@ -420,3 +420,114 @@ class TestTuneCommand:
         ]) == 2
         err = capsys.readouterr().err
         assert "no such frontier artifact" in err
+
+
+def _stored(root):
+    """Entry files a store holds on disk."""
+    return sorted((root / "objects").rglob("*.pkl")) if root.exists() else []
+
+
+class TestEnvironmentSettings:
+    """Each ``REPRO_*`` variable still takes effect, read by ``romfsm``
+    itself: the library below the CLI never looks at the environment."""
+
+    @pytest.fixture
+    def tier(self, tmp_path):
+        from repro.cachenet.server import CacheServerHandle
+        from repro.pipeline.cache import ArtifactCache
+
+        handles = []
+
+        def start(secret=None):
+            handle = CacheServerHandle(
+                ArtifactCache(tmp_path / f"tier-{len(handles)}"),
+                secret=secret,
+            )
+            handles.append(handle)
+            return handle
+
+        yield start
+        for handle in handles:
+            handle.stop()
+
+    @staticmethod
+    def _eval(kiss_file, *extra):
+        assert main(["eval", kiss_file, "--cycles", "60", "--freq", "100",
+                     *extra]) == 0
+
+    @staticmethod
+    def _wait_for_entries(root, count, timeout_s=10.0):
+        import time
+
+        deadline = time.monotonic() + timeout_s
+        while len(_stored(root)) < count and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return len(_stored(root))
+
+    @pytest.mark.parametrize("variable", [
+        "REPRO_CACHE_DIR", "REPRO_CACHE_PEERS", "REPRO_CACHE_SECRET",
+        "REPRO_FAULTS", "REPRO_LOG_LEVEL",
+    ])
+    def test_variable_takes_effect(
+        self, variable, kiss_file, tmp_path, monkeypatch, capsys, tier
+    ):
+        from repro import faults
+
+        local = tmp_path / "local"
+        if variable == "REPRO_CACHE_DIR":
+            monkeypatch.setenv(variable, str(local))
+            self._eval(kiss_file)
+            assert len(_stored(local)) == 8
+        elif variable == "REPRO_CACHE_PEERS":
+            backend = tier()
+            monkeypatch.setenv(variable, backend.address)
+            self._eval(kiss_file, "--cache-dir", str(local))
+            assert self._wait_for_entries(backend.server.cache.root, 8) == 8
+        elif variable == "REPRO_CACHE_SECRET":
+            # An authenticated backend refuses every unsigned frame, so
+            # entries arrive only if the secret reached the tier client.
+            backend = tier(secret=b"tier-secret")
+            monkeypatch.setenv("REPRO_CACHE_PEERS", backend.address)
+            monkeypatch.setenv(variable, "tier-secret")
+            self._eval(kiss_file, "--cache-dir", str(local))
+            assert self._wait_for_entries(backend.server.cache.root, 8) == 8
+        elif variable == "REPRO_FAULTS":
+            plan = faults.FaultPlan([faults.FaultRule(
+                point="cache.put", kind="disk_full")])
+            monkeypatch.setenv(variable, plan.to_json())
+            try:
+                self._eval(kiss_file, "--cache-dir", str(local))
+                assert faults.active_plan() is not None
+            finally:
+                faults.uninstall()
+            # Every disk write failed: the store degraded to memory.
+            assert _stored(local) == []
+        else:
+            import logging
+
+            root = logging.getLogger("repro")
+            previous = root.level
+            monkeypatch.setenv(variable, "debug")
+            try:
+                assert main(["bench-stats"]) == 0
+                assert root.level == logging.DEBUG
+            finally:
+                root.setLevel(previous)
+        capsys.readouterr()
+
+
+class TestSettingsBoundary:
+    def test_only_the_cli_reads_the_environment(self):
+        import re
+        from pathlib import Path
+
+        import repro
+
+        package = Path(repro.__file__).parent
+        pattern = re.compile(r"os\.environ|getenv")
+        readers = sorted(
+            str(path.relative_to(package))
+            for path in package.rglob("*.py")
+            if pattern.search(path.read_text(encoding="utf-8"))
+        )
+        assert readers == ["flows/cli.py"]

@@ -190,8 +190,7 @@ class TestEnvelope:
 
 class TestChaos:
     @pytest.fixture(autouse=True)
-    def no_ambient_plan(self, monkeypatch):
-        monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+    def no_ambient_plan(self):
         faults.uninstall()
         yield
         faults.uninstall()
@@ -214,7 +213,7 @@ class TestChaos:
             ],
             seed=7,
         )
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             for _ in range(3):
                 result, _ = eco_evaluate(
                     BENCH, edits=edits, cache=cache, **SMALL

@@ -4,10 +4,23 @@ import os
 import time
 
 from repro.pipeline.cache import (
-    CACHE_DIR_ENV,
+    DEFAULT_CACHE_DIR,
     ArtifactCache,
     resolve_cache,
 )
+
+CACHE_DIR_ENV = "REPRO_CACHE_DIR"
+
+
+def cli_cache(monkeypatch, argv, environ):
+    """The cache ``romfsm`` resolves for ``argv`` under ``environ``."""
+    from repro.flows.cli import _resolve_cli_cache, build_parser
+
+    for name, value in environ.items():
+        monkeypatch.setenv(name, value)
+    args = build_parser().parse_args(argv)
+    return _resolve_cli_cache(args, default=True if args.command == "serve"
+                              else None)
 
 KEY = "ab" + "0" * 62
 OTHER = "cd" + "1" * 62
@@ -174,19 +187,44 @@ class TestMaintenance:
         assert info["session"]["stores"] == 1
 
 
+class TestPickle:
+    def test_pickles_as_its_spec(self, tmp_path):
+        import pickle
+
+        cache = ArtifactCache(tmp_path, degrade_threshold=5,
+                              memory_max_entries=7)
+        cache.put(KEY, "fp", 1)
+        cache.degraded = True
+        cache._memory_put(OTHER, "fp2", 2)
+        clone = pickle.loads(pickle.dumps(cache))
+        assert type(clone) is ArtifactCache
+        assert clone.root == cache.root
+        assert clone._degrade_threshold == 5
+        assert clone._memory_max_entries == 7
+        # Process-local state does not travel: fresh stats, no LRU.
+        assert clone.stats.stores == 0
+        assert clone.memory_entries == 0 and not clone.degraded
+        assert clone.get(KEY) == ("fp", 1)
+
+
 class TestResolveCache:
-    def test_disabled_by_default(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    """``resolve_cache`` takes explicit values only; the environment
+    defaults live at the ``romfsm`` boundary (``cli_cache``)."""
+
+    def test_disabled_by_default(self, tmp_path, monkeypatch):
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         assert resolve_cache() is None
+        assert resolve_cache(None) is None
 
     def test_no_cache_wins(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
-        assert resolve_cache(no_cache=True) is None
-        assert resolve_cache(tmp_path, no_cache=True) is None
+        env = {CACHE_DIR_ENV: str(tmp_path)}
+        assert cli_cache(monkeypatch, ["eval", "dk14", "--no-cache"],
+                         env) is None
+        assert cli_cache(monkeypatch, ["eval", "dk14", "--no-cache",
+                                       "--cache-dir", str(tmp_path)],
+                         env) is None
 
     def test_false_disables_despite_environment(self, tmp_path, monkeypatch):
-        # False is the re-resolvable "caching off" marker: it must not
-        # fall through to REPRO_CACHE_DIR the way None does.
         monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         assert resolve_cache(False) is None
 
@@ -210,27 +248,30 @@ class TestResolveCache:
         assert resolve_cache(ready) is ready
 
     def test_environment_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
-        cache = resolve_cache()
+        assert cli_cache(monkeypatch, ["eval", "dk14"], {}) is None
+        env = {CACHE_DIR_ENV: str(tmp_path / "env")}
+        cache = cli_cache(monkeypatch, ["eval", "dk14"], env)
         assert isinstance(cache, ArtifactCache)
         assert cache.root == tmp_path / "env"
+        explicit = cli_cache(monkeypatch, ["eval", "dk14", "--cache-dir",
+                                           str(tmp_path / "flag")], env)
+        assert explicit.root == tmp_path / "flag"
 
 
 class TestResolveCacheTrue:
     def test_true_prefers_environment(self, tmp_path, monkeypatch):
-        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path / "env"))
-        cache = resolve_cache(True)
+        # `serve` caches by default (True); the environment names where.
+        cache = cli_cache(monkeypatch, ["serve"],
+                          {CACHE_DIR_ENV: str(tmp_path / "env")})
         assert cache is not None
         assert cache.root == tmp_path / "env"
 
-    def test_true_falls_back_to_default_dir(self, monkeypatch):
-        from repro.pipeline.cache import DEFAULT_CACHE_DIR
-
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
+    def test_true_falls_back_to_default_dir(self, tmp_path, monkeypatch):
+        assert cli_cache(monkeypatch, ["serve"], {}).root == DEFAULT_CACHE_DIR
+        monkeypatch.setenv(CACHE_DIR_ENV, str(tmp_path))
         cache = resolve_cache(True)
         assert cache is not None
         assert cache.root == DEFAULT_CACHE_DIR
 
     def test_no_cache_beats_true(self, monkeypatch):
-        monkeypatch.delenv(CACHE_DIR_ENV, raising=False)
-        assert resolve_cache(True, no_cache=True) is None
+        assert cli_cache(monkeypatch, ["serve", "--no-cache"], {}) is None

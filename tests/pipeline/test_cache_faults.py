@@ -15,8 +15,7 @@ OTHER = "cd" + "1" * 62
 
 
 @pytest.fixture(autouse=True)
-def no_ambient_plan(monkeypatch):
-    monkeypatch.delenv(faults.FAULTS_ENV, raising=False)
+def no_ambient_plan():
     faults.uninstall()
     yield
     faults.uninstall()
@@ -82,7 +81,7 @@ class TestClearHygiene:
         cache = ArtifactCache(tmp_path, degrade_threshold=1)
         plan = FaultPlan([FaultRule(point="cache.put", kind="disk_full",
                                     max_fires=1)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             cache.put(KEY, "a", 1)
         assert cache.degraded
         assert cache.get(KEY) == ("a", 1)  # served from memory fallback
@@ -136,7 +135,7 @@ class TestCorruptEntryRace:
         cache.put(KEY, "fp", {"payload": list(range(100))})
         plan = FaultPlan([FaultRule(point="cache.get", kind="truncate",
                                     max_fires=1)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             assert cache.get(KEY) is None
         assert cache.stats.errors == 1
 
@@ -146,7 +145,7 @@ class TestCorruptEntryRace:
         cache.put(KEY, "fp", value)
         plan = FaultPlan([FaultRule(point="cache.get", kind="bitflip",
                                     max_fires=1)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             got = cache.get(KEY)
         # A flipped payload bit decodes fine under pickle alone — the
         # CRC envelope must catch it and turn it into a miss.
@@ -162,7 +161,7 @@ class TestDegradation:
         cache = ArtifactCache(tmp_path, degrade_threshold=3)
         plan = FaultPlan([FaultRule(point="cache.put", kind="oserror",
                                     max_fires=3)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             for i in range(3):
                 cache.put(f"{i:02d}" + "e" * 62, "fp", i)
         assert cache.degraded
@@ -179,7 +178,7 @@ class TestDegradation:
         cache = ArtifactCache(tmp_path, degrade_threshold=3)
         plan = FaultPlan([FaultRule(point="cache.put", kind="disk_full",
                                     max_fires=1)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             cache.put(KEY, "fp", 1)     # absorbed, not raised
             cache.put(OTHER, "fp", 2)   # succeeds, resets the streak
         assert not cache.degraded
@@ -192,7 +191,7 @@ class TestDegradation:
         cache.put(KEY, "fp", 1)
         plan = FaultPlan([FaultRule(point="cache.get", kind="oserror",
                                     max_fires=2)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             assert cache.get(KEY) is None
             assert cache.get(KEY) is None
         assert cache.degraded
@@ -216,7 +215,7 @@ class TestDegradedMemoryBudget:
         cache = ArtifactCache(tmp_path, degrade_threshold=1, **kwargs)
         plan = FaultPlan([FaultRule(point="cache.put", kind="oserror",
                                     max_fires=1)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             cache.put("ff" + "f" * 62, "fp", "sacrifice")
         assert cache.degraded
         return cache
@@ -407,7 +406,7 @@ class TestRawEnvelopeTransport:
         cache = ArtifactCache(tmp_path, degrade_threshold=1)
         plan = FaultPlan([FaultRule(point="cache.put", kind="oserror",
                                     max_fires=1)])
-        with faults.injected(plan, export_env=False):
+        with faults.injected(plan):
             cache.put(KEY, "fp", 1)
         assert cache.degraded
         assert cache.get(KEY) == ("fp", 1)      # decoded memory hit

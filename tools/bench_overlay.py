@@ -42,6 +42,15 @@ TENANTS = ["dk14", "donfile", "keyb", "styr"]
 BATCH_BENCHMARKS = ["dk14", "donfile", "ex1", "keyb", "sand", "styr"]
 
 
+def child_env():
+    """Environment for a spawned ``romfsm``: the checkout's sources and
+    no ``REPRO_*`` setting from the caller's shell, which would change
+    the numbers (a cache tier, a fault plan, a cache directory)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return env
+
+
 def wait_ready(client, deadline_s=30.0):
     start = time.monotonic()
     while time.monotonic() - start < deadline_s:
@@ -87,7 +96,7 @@ def batch_throughput(args) -> dict:
             "--jobs", str(args.jobs), "--max-queue", "256",
             "--timeout", "120", "--cache-dir", cache_dir,
         ],
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        env=child_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )

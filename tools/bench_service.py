@@ -43,6 +43,15 @@ from repro.cachenet.client import CacheBackendClient  # noqa: E402
 from repro.service.client import ServiceClient, ServiceError  # noqa: E402
 
 
+def child_env():
+    """Environment for a spawned ``romfsm``: the checkout's sources and
+    no ``REPRO_*`` setting from the caller's shell, which would change
+    the numbers (a cache tier, a fault plan, a cache directory)."""
+    env = {k: v for k, v in os.environ.items() if not k.startswith("REPRO_")}
+    env["PYTHONPATH"] = str(REPO_ROOT / "src")
+    return env
+
+
 def percentile(sorted_values, q):
     if not sorted_values:
         return 0.0
@@ -77,7 +86,7 @@ def spawn_cached(root, name):
             sys.executable, "-m", "repro.flows.cli", "cached",
             "--port", "0", "--cache-dir", os.path.join(root, f"tier-{name}"),
         ],
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        env=child_env(),
         stdout=subprocess.PIPE,
         stderr=subprocess.DEVNULL,
         text=True,
@@ -95,7 +104,7 @@ def spawn_serve(port, cache_dir, peers, jobs):
             "--timeout", "120", "--cache-dir", cache_dir,
             "--cache-peers", peers,
         ],
-        env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+        env=child_env(),
         stdout=subprocess.DEVNULL,
         stderr=subprocess.DEVNULL,
     )
@@ -223,7 +232,7 @@ def main(argv=None) -> int:
                 "--jobs", str(args.jobs), "--max-queue", "256",
                 "--timeout", "120", "--cache-dir", cache_dir,
             ],
-            env={**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")},
+            env=child_env(),
             stdout=subprocess.DEVNULL,
             stderr=subprocess.DEVNULL,
         )
